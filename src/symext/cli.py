@@ -22,7 +22,7 @@ from .channels import (
     classify_channel,
     complementary_channel,
 )
-from .errors import SymextError
+from .errors import OutOfRange, SymextError
 from .oracle import Feasibility, OracleOptions, find_symmetric_extension
 from .states import BipartiteState
 
@@ -40,6 +40,7 @@ class Verdict:
     proven: bool
     residuals: dict = field(default_factory=dict)
     witness_path: str | None = None
+    stop_reason: str | None = None
 
     def exit_code(self) -> int:
         return {"yes": EXIT_YES, "no": EXIT_NO}.get(self.answer, EXIT_UNDECIDED)
@@ -55,6 +56,8 @@ class Verdict:
             }
             if self.witness_path:
                 payload["witness_path"] = self.witness_path
+            if self.stop_reason:
+                payload["stop_reason"] = self.stop_reason
             print(json.dumps(payload, sort_keys=True))
             return
         print(f"question: {self.question}")
@@ -71,7 +74,15 @@ def _oracle_options(args) -> OracleOptions:
     kwargs = {"symmetry": args.symmetry}
     if args.tol is not None:
         kwargs["tol_feasible"] = args.tol
-    return OracleOptions(**kwargs)
+    try:
+        return OracleOptions(**kwargs)
+    except ValueError as exc:
+        raise OutOfRange(f"--tol: {exc}") from exc
+
+
+def _witness_tol(args) -> float:
+    """Witness re-verification tolerance: --tol, checked like the oracle's, else 1e-7."""
+    return 1e-7 if args.tol is None else _oracle_options(args).tol_feasible
 
 
 def _zcorr_from_state(rho: BipartiteState) -> twoqubit.ZCorrParams | None:
@@ -150,7 +161,9 @@ def _verdict_from_oracle(question: str, result) -> Verdict:
     if result.witness is not None:
         residuals["witness_symmetry"] = result.witness.symmetry_residual
         residuals["witness_reduction"] = result.witness.reduction_residual
-    return Verdict(question, answer, result.method, False, residuals=residuals)
+    # A "no" is proven when its dual certificate re-verified.
+    return Verdict(question, answer, result.method, result.certificate is not None,
+                   residuals=residuals, stop_reason=result.stop_reason)
 
 
 def cmd_check(args) -> int:
@@ -191,20 +204,16 @@ def cmd_extend(args) -> int:
         method = "closed-form(rank2-decomposition)"
     else:
         result = find_symmetric_extension(rho, opts)
-        if result.status is Feasibility.INFEASIBLE:
-            Verdict("symmetric extension", "no", result.method, False,
-                    residuals={"oracle": result.residual}).emit(args.json)
-            return EXIT_NO
-        if result.status is Feasibility.UNDECIDED:
-            Verdict("symmetric extension", "undecided", result.method, False,
-                    residuals={"oracle": result.residual}).emit(args.json)
-            return EXIT_UNDECIDED
+        if not result.feasible:
+            verdict = _verdict_from_oracle("symmetric extension", result)
+            verdict.emit(args.json)
+            return verdict.exit_code()
         witness = result.witness
         method = result.method
 
     io.save_extension(args.output, witness)
     reloaded = io.load_extension(args.output, rho)
-    if not states.is_symmetric_extension(reloaded, rho, tol=args.tol or 1e-7):
+    if not states.is_symmetric_extension(reloaded, rho, tol=_witness_tol(args)):
         print("error: witness failed re-verification after write", file=sys.stderr)
         return EXIT_INVALID
     Verdict("symmetric extension", "yes", method, method.startswith("closed-form"),
@@ -217,8 +226,7 @@ def cmd_extend(args) -> int:
 def cmd_verify_extension(args) -> int:
     rho = io.load_state(args.state_file)
     sigma = io.load_extension(args.ext_file, rho)
-    tol = args.tol or 1e-7
-    ok = states.is_symmetric_extension(sigma, rho, tol=tol)
+    ok = states.is_symmetric_extension(sigma, rho, tol=_witness_tol(args))
     Verdict("is symmetric extension", "yes" if ok else "no", "definition", True,
             residuals={"symmetry": sigma.symmetry_residual,
                        "reduction": sigma.reduction_residual}).emit(args.json)

@@ -8,19 +8,27 @@ with Douglas-Rachford reflections between the PSD cone and the affine set;
 the affine projection has a closed form for all three symmetry modes.
 
 Feasibility is certified by an explicit witness that is independently
-re-verified.  Infeasibility is a heuristic verdict (the residual stalls above
-a threshold); boundary cases come back Undecided.
+re-verified.  Infeasibility is certified by a dual witness: a Hermitian W on
+AB, built from the Douglas-Rachford step difference (which converges to the
+minimal displacement vector on inconsistent problems), with
+S(W (x) I_B') >= 0 and tr(W rho) < 0, where S is the projection of the
+symmetry mode.  Any extension sigma would give
+tr(W rho) = tr(S(W (x) I_B') sigma) >= 0, so such a W rules one out; the
+check has a margin of CERTIFICATE_MARGIN * ||W||_F and is re-run from scratch
+by :func:`verify_infeasibility_certificate`.  A run that stalls or hits the
+iteration cap without either certificate comes back Undecided.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg
-from .errors import NotSymmetric, TooLarge, WrongDimension
+from .errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
 from .states import (
     BipartiteState,
     TripartiteExtension,
@@ -29,6 +37,16 @@ from .states import (
 )
 
 MAX_EXTENSION_DIM = 1024
+
+SYMMETRIES = ("any", "bosonic", "fermionic")
+
+# The step difference is turned into a candidate dual certificate and checked
+# every CERTIFY_EVERY iterations.
+CERTIFY_EVERY = 25
+
+# A dual certificate W proves infeasibility when tr(W rho) + mu falls below
+# -CERTIFICATE_MARGIN * ||W||_F, mu being the shift that makes S(W (x) I) PSD.
+CERTIFICATE_MARGIN = 1e-9
 
 
 class Feasibility(Enum):
@@ -42,33 +60,47 @@ class OracleOptions:
     """Tuning knobs for the feasibility iteration.
 
     ``symmetry`` selects plain swap invariance ("any") or support on the
-    symmetric/antisymmetric subspace ("bosonic"/"fermionic").  Stall
-    detection declares Infeasible once the constraint residual has stopped
-    improving (relative change below ``stall_improvement`` across
-    ``stall_window`` iterations) while still above ``tol_infeasible``.
+    symmetric/antisymmetric subspace ("bosonic"/"fermionic").  The iteration
+    ends Feasible once the constraint residual drops to ``tol_feasible`` and
+    the witness re-verifies, and Infeasible once a dual certificate verifies
+    (checked every CERTIFY_EVERY iterations, margin CERTIFICATE_MARGIN).
+    It gives up Undecided when the residual has stopped improving (relative
+    change below ``stall_improvement`` across ``stall_window`` iterations)
+    or after ``max_iterations``.
     """
 
     symmetry: str = "any"
     tol_feasible: float = 1e-9
-    tol_infeasible: float = 1e-6
     max_iterations: int = 50000
     stall_window: int = 500
     stall_improvement: float = 1e-7
 
     def __post_init__(self):
-        if self.symmetry not in ("any", "bosonic", "fermionic"):
+        if self.symmetry not in SYMMETRIES:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
-        if not self.tol_feasible < self.tol_infeasible:
-            raise ValueError("tol_feasible must be smaller than tol_infeasible")
+        if not (math.isfinite(self.tol_feasible) and 0.0 < self.tol_feasible < 1.0):
+            raise ValueError(f"tol_feasible must lie in (0, 1), got {self.tol_feasible!r}")
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """Verdict with the evidence behind it.
+
+    ``witness`` backs a Feasible verdict, ``certificate`` (a shifted dual
+    witness W on AB, see :func:`verify_infeasibility_certificate`) an
+    Infeasible one.  ``stop_reason`` says why the oracle stopped:
+    "converged", "certified", "stalled", "iteration-cap", "support"
+    (the state is outside the reductions the symmetry mode can reach) or
+    "witness-rejected"; it is None for verdicts reached without the oracle.
+    """
+
     status: Feasibility
     witness: TripartiteExtension | None
     residual: float
     iterations: int
     method: str = "oracle"
+    certificate: np.ndarray | None = None
+    stop_reason: str | None = None
 
     @property
     def feasible(self) -> bool:
@@ -123,34 +155,69 @@ class _ExtensionGeometry:
             v[:, i, :, i] = m / self.d_b
         return out
 
-    def affine_inconsistency(self, rho: np.ndarray) -> float:
-        """Distance of rho from the reachable reductions.
+    def unreachable_part(self, rho: np.ndarray) -> np.ndarray | None:
+        """Component of rho outside the reachable reductions, or None.
 
-        Nonzero only when the constraint operator is singular, which happens
-        for fermionic symmetry with qubit B: the antisymmetric subspace is
-        spanned by the singlet, so only states of the form M_A (x) I/2 are
-        reachable at all.
+        Only a singular constraint operator leaves anything unreachable,
+        which happens for fermionic symmetry with qubit B: the antisymmetric
+        subspace is spanned by the singlet, so only states of the form
+        M_A (x) I/2 are reachable at all.
         """
         if self.alpha > 1e-12:
-            return 0.0
-        reachable = self._embed_b(self._reduce_b(rho))
-        return linalg.frobenius(rho - reachable)
+            return None
+        return rho - self._embed_b(self._reduce_b(rho))
 
-    def project_affine(self, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto {Y = S(Y), tr_B' Y = rho}.
+    def solve_constraint(self, r: np.ndarray) -> np.ndarray:
+        """Apply C^-1 (the pseudo-inverse when C is singular).
 
         The constraint operator C = tr_B' o S o ( . (x) I/d_b ) equals
         alpha*Id + beta*E with E(m) = (tr_B m) (x) I_B/d_b an orthogonal
         projector, so its inverse is available in closed form.
         """
+        if self.alpha > 1e-12:
+            er = self._embed_b(self._reduce_b(r))
+            return r / self.alpha + (1.0 / (self.alpha + self.beta) - 1.0 / self.alpha) * er
+        return r / self.beta
+
+    def project_affine(self, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto {Y = S(Y), tr_B' Y = rho}."""
         sx = self.symmetrize(x)
         r = rho - self.reduce_bprime(sx)
-        er = self._embed_b(self._reduce_b(r))
-        if self.alpha > 1e-12:
-            delta = r / self.alpha + (1.0 / (self.alpha + self.beta) - 1.0 / self.alpha) * er
-        else:
-            delta = r / self.beta
-        return sx + self.symmetrize(self.embed_bprime(delta))
+        return sx + self.symmetrize(self.embed_bprime(self.solve_constraint(r)))
+
+    def dual_candidate(self, step: np.ndarray) -> np.ndarray:
+        """Hermitian W = -C^-1(tr_B' S(step)) on AB from a DR step difference."""
+        w = -self.solve_constraint(self.reduce_bprime(self.symmetrize(step)))
+        return 0.5 * (w + w.conj().T)
+
+    def certificate_shift(self, w: np.ndarray) -> float:
+        """Smallest mu >= 0 with S((W + mu I) (x) I_B') PSD."""
+        lam = np.linalg.eigvalsh(self.symmetrize(self.embed_bprime(w)))[0]
+        return self.d_b * max(0.0, -float(lam))
+
+    def shifted(self, w: np.ndarray) -> np.ndarray:
+        return w + self.certificate_shift(w) * np.eye(w.shape[0])
+
+
+def verify_infeasibility_certificate(w: np.ndarray, rho: BipartiteState, symmetry: str = "any") -> bool:
+    """Check from scratch that ``w`` proves ``rho`` has no extension.
+
+    With mu the smallest shift making S((W + mu I) (x) I_B'/d_b) PSD, any
+    extension sigma of rho would give
+    tr((W + mu I) rho) = d_b tr(S((W + mu I) (x) I_B'/d_b) sigma) >= 0, so
+    tr(W rho) + mu < -CERTIFICATE_MARGIN * ||W||_F rules every extension
+    out.  Only the Hermitian part of ``w`` is used.
+    """
+    if symmetry not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {symmetry!r}")
+    w = linalg.as_matrix(w)
+    if w.shape[0] != rho.dim:
+        raise DimensionMismatch(f"certificate dimension {w.shape[0]} does not match the state's {rho.dim}")
+    w = 0.5 * (w + w.conj().T)
+    geom = _ExtensionGeometry(rho.d_a, rho.d_b, symmetry)
+    mu = geom.certificate_shift(w)
+    value = float(np.vdot(w, rho.matrix).real) + mu
+    return value < -CERTIFICATE_MARGIN * linalg.frobenius(w)
 
 
 def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = None) -> FeasibilityResult:
@@ -168,12 +235,20 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
     geom = _ExtensionGeometry(d_a, d_b, opts.symmetry)
 
     target = np.asarray(rho.matrix)
-    bad = geom.affine_inconsistency(target)
-    if bad > 1e-10:
-        # No Hermitian operator with the required support reduces to rho,
-        # PSD or not; the residual reports the constraint incompatibility.
-        return FeasibilityResult(Feasibility.INFEASIBLE, None, float(bad), 0,
-                                 method=f"oracle({opts.symmetry}-support)")
+    method = f"oracle({opts.symmetry})"
+    unreachable = geom.unreachable_part(target)
+    if unreachable is not None:
+        bad = linalg.frobenius(unreachable)
+        if bad > 1e-10:
+            # No Hermitian operator with the required support reduces to rho,
+            # PSD or not.  S(W (x) I) vanishes for W = -unreachable, whose
+            # trace against rho is -bad**2.
+            cert = geom.shifted(-unreachable)
+            certified = verify_infeasibility_certificate(cert, rho, opts.symmetry)
+            return FeasibilityResult(
+                Feasibility.INFEASIBLE if certified else Feasibility.UNDECIDED, None, bad, 0,
+                method=f"oracle({opts.symmetry}-support)",
+                certificate=cert if certified else None, stop_reason="support")
 
     z = geom.embed_bprime(target)
     # The raw residual wobbles (it can bump up right before the final plunge
@@ -187,28 +262,34 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
         best = min(best, res)
         best_history.append(best)
         if res <= opts.tol_feasible:
-            return _verified_feasible(x, rho, res, it, opts)
-        if it > opts.stall_window:
-            old = best_history[it - 1 - opts.stall_window]
-            if old > 0.0 and (old - best) / old < opts.stall_improvement:
-                status = Feasibility.INFEASIBLE if best >= opts.tol_infeasible else Feasibility.UNDECIDED
-                return FeasibilityResult(status, None, best, it, method=f"oracle({opts.symmetry})")
+            return _verified_feasible(x, rho, res, it, method)
         reflected = 2.0 * x - z
         w, vecs = np.linalg.eigh(reflected)
         psd = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+        if it % CERTIFY_EVERY == 0:
+            # x - psd = z_k - z_{k+1} tends to the minimal displacement vector.
+            cert = geom.shifted(geom.dual_candidate(x - psd))
+            if verify_infeasibility_certificate(cert, rho, opts.symmetry):
+                return FeasibilityResult(Feasibility.INFEASIBLE, None, best, it, method,
+                                         certificate=cert, stop_reason="certified")
+        if it > opts.stall_window:
+            old = best_history[it - 1 - opts.stall_window]
+            if old > 0.0 and (old - best) / old < opts.stall_improvement:
+                return FeasibilityResult(Feasibility.UNDECIDED, None, best, it, method,
+                                         stop_reason="stalled")
         z = z + psd - x
-    return FeasibilityResult(Feasibility.UNDECIDED, None, best, opts.max_iterations,
-                             method=f"oracle({opts.symmetry})")
+    return FeasibilityResult(Feasibility.UNDECIDED, None, best, opts.max_iterations, method,
+                             stop_reason="iteration-cap")
 
 
 def _verified_feasible(x: np.ndarray, rho: BipartiteState, res: float, iterations: int,
-                       opts: OracleOptions) -> FeasibilityResult:
+                       method: str) -> FeasibilityResult:
     witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
     if not is_symmetric_extension(witness, rho, tol=1e-7):
-        return FeasibilityResult(Feasibility.UNDECIDED, None, res, iterations,
-                                 method=f"oracle({opts.symmetry})")
-    return FeasibilityResult(Feasibility.FEASIBLE, witness, res, iterations,
-                             method=f"oracle({opts.symmetry})")
+        return FeasibilityResult(Feasibility.UNDECIDED, None, res, iterations, method,
+                                 stop_reason="witness-rejected")
+    return FeasibilityResult(Feasibility.FEASIBLE, witness, res, iterations, method,
+                             stop_reason="converged")
 
 
 def bosonic_from_symmetric(sigma: TripartiteExtension, tol: float = 1e-8) -> TripartiteExtension:

@@ -19,17 +19,21 @@ def random_state(d_a: int, d_b: int, rng: np.random.Generator, rank: int | None 
     return BipartiteState(mat / np.trace(mat).real, d_a, d_b)
 
 
-def random_symmetric_vector(rng: np.random.Generator, d_a: int = 2, d_b: int = 2) -> np.ndarray:
-    """Random pure vector on A,B,B' invariant under the B <-> B' swap."""
+def random_symmetric_vector(rng: np.random.Generator, d_a: int = 2, d_b: int = 2,
+                            sign: float = 1.0) -> np.ndarray:
+    """Random pure vector on A,B,B' invariant under the B <-> B' swap
+    (antisymmetric under it for ``sign=-1``)."""
     v = rng.standard_normal(d_a * d_b * d_b) + 1j * rng.standard_normal(d_a * d_b * d_b)
-    v = v + v.reshape(d_a, d_b, d_b).transpose(0, 2, 1).reshape(-1)
+    v = v + sign * v.reshape(d_a, d_b, d_b).transpose(0, 2, 1).reshape(-1)
     return v / np.linalg.norm(v)
 
 
-def traced_symmetric_state(rng: np.random.Generator, d_a: int = 2, d_b: int = 2) -> BipartiteState:
-    """State obtained by tracing B' from a random swap-symmetric pure vector;
-    extendible by construction."""
-    v = random_symmetric_vector(rng, d_a, d_b)
+def traced_symmetric_state(rng: np.random.Generator, d_a: int = 2, d_b: int = 2,
+                           sign: float = 1.0) -> BipartiteState:
+    """State obtained by tracing B' from a random swap-symmetric (``sign=-1``:
+    antisymmetric) pure vector; extendible by construction, with bosonic
+    (fermionic) symmetry."""
+    v = random_symmetric_vector(rng, d_a, d_b, sign)
     mat = linalg.partial_trace(np.outer(v, v.conj()), [d_a, d_b, d_b], keep=[0, 1])
     return BipartiteState(mat, d_a, d_b)
 

@@ -92,6 +92,25 @@ class TestCheckCommand:
         path.write_text("{")
         assert main(["check", str(path)]) == EXIT_INVALID
 
+    def test_oracle_no_is_certified(self, bell_file, capsys):
+        assert main(["check", bell_file, "--method", "oracle", "--json"]) == EXIT_NO
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["answer"] == "no"
+        assert payload["proven"] is True
+        assert payload["stop_reason"] == "certified"
+
+    def test_loose_tol_accepted(self, bell_file, mixed_file):
+        assert main(["check", bell_file, "--method", "oracle", "--tol", "1e-3"]) == EXIT_NO
+        assert main(["check", mixed_file, "--method", "oracle", "--tol", "1e-3"]) == EXIT_YES
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "1", "nan", "inf"])
+    def test_bad_tol_is_invalid_input(self, mixed_file, tmp_path, capsys, tol):
+        assert main(["check", mixed_file, f"--tol={tol}"]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error:")
+        ext_path = str(tmp_path / "ext.json")
+        assert main(["extend", mixed_file, "-o", ext_path]) == EXIT_YES
+        assert main(["verify-extension", ext_path, mixed_file, f"--tol={tol}"]) == EXIT_INVALID
+
 
 class TestExtendCommand:
     def test_extend_and_verify(self, tmp_path, rng):

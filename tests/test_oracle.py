@@ -3,13 +3,14 @@ import pytest
 from conftest import random_state, random_unitary, traced_symmetric_state
 
 from symext import gallery, linalg, states, twoqubit
-from symext.errors import NotSymmetric, TooLarge, WrongDimension
+from symext.errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
 from symext.oracle import (
     Feasibility,
     OracleOptions,
     bosonic_from_symmetric,
     fermionic_qutrit_example,
     find_symmetric_extension,
+    verify_infeasibility_certificate,
 )
 from symext.states import BipartiteState, TripartiteExtension, is_symmetric_extension
 
@@ -94,8 +95,9 @@ class TestFindSymmetricExtension:
     def test_options_validated(self):
         with pytest.raises(ValueError):
             OracleOptions(symmetry="anyonic")
-        with pytest.raises(ValueError):
-            OracleOptions(tol_feasible=1e-3, tol_infeasible=1e-6)
+        for bad in (0.0, -1e-9, 1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                OracleOptions(tol_feasible=bad)
 
 
 class TestBosonicFermionic:
@@ -161,10 +163,13 @@ class TestBosonicFermionic:
             assert linalg.trace_distance(converted.reduced_ab(), rho.matrix) <= 1e-7
 
     def test_fermionic_qubit_support_is_restrictive(self, rng):
-        # with qubit B the only reachable reductions are M_A (x) I/2
-        rho = traced_symmetric_state(rng)
-        result = find_symmetric_extension(rho, OracleOptions(symmetry="fermionic"))
-        assert result.infeasible
+        # with qubit B the only reachable reductions are M_A (x) I/2, and
+        # W = -(rho - M_A (x) I/2) certifies every other state
+        fermionic = OracleOptions(symmetry="fermionic")
+        for rho in (traced_symmetric_state(rng), random_state(3, 2, rng), random_state(4, 2, rng)):
+            result = find_symmetric_extension(rho, fermionic)
+            assert result.infeasible and result.stop_reason == "support"
+            assert verify_infeasibility_certificate(result.certificate, rho, "fermionic")
         product = BipartiteState(np.kron(np.diag([0.3, 0.7]), np.eye(2) / 2), 2, 2)
         result2 = find_symmetric_extension(product, OracleOptions(symmetry="fermionic"))
         assert result2.feasible
@@ -184,3 +189,55 @@ class TestFermionicQutritExample:
     def test_rejects_zero_coefficients(self):
         with pytest.raises(ValueError):
             fermionic_qutrit_example(a=0.0)
+
+
+class TestInfeasibilityCertificate:
+    def test_certified_before_stall_window(self, bell_state):
+        werner = gallery.werner(0.75)
+        qutrit, bosonic, _ = fermionic_qutrit_example()
+        for rho, symmetry, result in ((bell_state, "any", find_symmetric_extension(bell_state)),
+                                      (werner, "any", find_symmetric_extension(werner)),
+                                      (qutrit, "bosonic", bosonic)):
+            assert result.infeasible
+            assert result.stop_reason == "certified"
+            assert result.iterations < OracleOptions().stall_window
+            assert verify_infeasibility_certificate(result.certificate, rho, symmetry)
+
+    def test_extendible_states_never_certified(self, rng):
+        modes = (("any", 1.0), ("bosonic", 1.0), ("fermionic", -1.0))
+        for i in range(20):
+            symmetry, sign = modes[i % 3]
+            rho = traced_symmetric_state(rng, 2 + i % 2, 2, sign)
+            result = find_symmetric_extension(rho, OracleOptions(symmetry=symmetry))
+            assert result.certificate is None
+            assert not result.infeasible
+
+    def test_tampered_certificate_rejected(self, bell_state):
+        cert = find_symmetric_extension(bell_state).certificate
+        assert verify_infeasibility_certificate(cert, bell_state)
+        assert not verify_infeasibility_certificate(-cert, bell_state)
+        # Without the shift mu, any W with tr(W rho) < 0 would pass, even for
+        # an extendible state; the re-check must restore mu and reject it.
+        werner = gallery.werner(0.6)
+        dropped = cert - (float(np.vdot(cert, werner.matrix).real) + 0.1) * np.eye(4)
+        assert float(np.vdot(dropped, werner.matrix).real) < 0.0
+        assert not verify_infeasibility_certificate(dropped, werner)
+        assert not verify_infeasibility_certificate(-np.eye(4), bell_state)
+
+    def test_certificate_arguments_checked(self, bell_state):
+        with pytest.raises(DimensionMismatch):
+            verify_infeasibility_certificate(np.eye(3), bell_state)
+        with pytest.raises(ValueError):
+            verify_infeasibility_certificate(np.eye(4), bell_state, "anyonic")
+
+    def test_forced_stall_is_undecided(self, bell_state):
+        opts = OracleOptions(stall_window=2, stall_improvement=1.0)
+        result = find_symmetric_extension(bell_state, opts)
+        assert result.status is Feasibility.UNDECIDED
+        assert result.stop_reason == "stalled"
+        assert result.certificate is None
+
+    def test_iteration_cap_is_undecided(self, bell_state):
+        result = find_symmetric_extension(bell_state, OracleOptions(max_iterations=10))
+        assert result.status is Feasibility.UNDECIDED
+        assert result.stop_reason == "iteration-cap"
