@@ -4,8 +4,8 @@ A channel is anti-degradable exactly when its Choi state admits a symmetric
 extension of the output system, and degradable exactly when the Choi state of
 its complementary channel does.  This module carries channels as Kraus
 families, moves between Kraus and Choi pictures, builds minimal-environment
-complementary channels, and classifies degradability with closed-form
-shortcuts where the rank-2 results apply.
+complementary channels, and classifies degradability by deciding Choi
+states with :func:`oracle.decide` (closed forms first, the oracle last).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg, twoqubit
-from .errors import InvalidChannel, NotAChoiState, NotAnExtension, WrongRank
-from .oracle import Feasibility, FeasibilityResult, OracleOptions, find_symmetric_extension
+from . import linalg
+from .errors import InvalidChannel, NotAChoiState, NotAnExtension
+# find_symmetric_extension stays importable from here: bench/test_bench.py reads it
+from .oracle import Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
 from .states import BipartiteState, TripartiteExtension, is_symmetric_extension
 
 KRAUS_RANK_CUTOFF = 1e-9
@@ -117,43 +118,9 @@ def complementary_channel(channel: Channel) -> Channel:
     return Channel(kraus, d_in=channel.d_in, d_out=len(minimal.kraus))
 
 
-def _shortcut_two_qubit(choi: ChoiState) -> FeasibilityResult | None:
-    """Exact fast paths for 2x2 Choi states (rank-2 criterion, Bell diagonal)."""
-    state = choi.state
-    if state.d_a != 2 or state.d_b != 2:
-        return None
-    if state.rank() <= 2:
-        if state.rank() == 1:
-            # pure Choi = unitary channel: extendible iff product, which for a
-            # maximally mixed marginal never happens
-            return FeasibilityResult(Feasibility.INFEASIBLE, None, 0.5, 0, method="rank2")
-        if not twoqubit.rank2_condition(state):
-            gap = float(linalg.nonzero_eigenvalues(state.matrix)[0]
-                        - linalg.nonzero_eigenvalues(state.rho_b)[0])
-            return FeasibilityResult(Feasibility.INFEASIBLE, None, max(gap, 0.0), 0,
-                                     method="rank2")
-        decomp = twoqubit.rank2_decompose(state)
-        witness = decomp.mixed_extension(state)
-        if is_symmetric_extension(witness, state, tol=1e-7):
-            return FeasibilityResult(
-                Feasibility.FEASIBLE, witness,
-                residual=max(witness.symmetry_residual, witness.reduction_residual),
-                iterations=0, method="rank2")
-        return None
-    bell = twoqubit.bell_diagonal_from_state(state)
-    if bell is not None and not twoqubit.bell_extendible(bell):
-        margin = max(twoqubit.bell_margins(bell))
-        return FeasibilityResult(Feasibility.INFEASIBLE, None, abs(margin), 0, method="bell-diagonal")
-    return None
-
-
 def is_anti_degradable(channel: Channel, opts: OracleOptions | None = None) -> FeasibilityResult:
-    """Symmetric extendibility of the Choi state, with proven 2-qubit shortcuts."""
-    choi = choi_state(channel)
-    shortcut = _shortcut_two_qubit(choi)
-    if shortcut is not None:
-        return shortcut
-    return find_symmetric_extension(choi.state, opts)
+    """Symmetric extendibility of the Choi state, with a witness behind every "yes"."""
+    return decide(choi_state(channel).state, opts, want_witness=True)
 
 
 def is_degradable(channel: Channel, opts: OracleOptions | None = None) -> FeasibilityResult:
@@ -165,16 +132,8 @@ def is_degradable(channel: Channel, opts: OracleOptions | None = None) -> Feasib
     """
     if channel.d_out == 2 and channel.environment_dim() > 2:
         return FeasibilityResult(Feasibility.INFEASIBLE, None, float("inf"), 0,
-                                 method="qubit-output-environment-bound")
+                                 method="qubit-output-environment-bound", proven=True)
     return is_anti_degradable(complementary_channel(channel), opts)
-
-
-def rank2_marginal_rank_bound(rho: BipartiteState) -> bool:
-    """Necessary filter: a rank-2 state with a symmetric extension must have
-    rank(rho_B) <= 2."""
-    if rho.rank() != 2:
-        raise WrongRank(f"rank-2 filter applied to a rank-{rho.rank()} state")
-    return linalg.numerical_rank(rho.rho_b) <= 2
 
 
 class ChannelTag(Enum):

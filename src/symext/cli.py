@@ -23,8 +23,7 @@ from .channels import (
     complementary_channel,
 )
 from .errors import OutOfRange, SymextError
-from .oracle import Feasibility, OracleOptions, find_symmetric_extension
-from .states import BipartiteState
+from .oracle import Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -71,7 +70,7 @@ class Verdict:
 
 
 def _oracle_options(args) -> OracleOptions:
-    kwargs = {"symmetry": args.symmetry}
+    kwargs = {"symmetry": getattr(args, "symmetry", "any")}
     if args.tol is not None:
         kwargs["tol_feasible"] = args.tol
     try:
@@ -85,84 +84,16 @@ def _witness_tol(args) -> float:
     return 1e-7 if args.tol is None else _oracle_options(args).tol_feasible
 
 
-def _zcorr_from_state(rho: BipartiteState) -> twoqubit.ZCorrParams | None:
-    """Recognize the diagonal-plus-antidiagonal family in the computational
-    basis, canonicalizing with the local relabelings that preserve the form."""
-    if rho.d_a != 2 or rho.d_b != 2:
-        return None
-    m = np.asarray(rho.matrix)
-    pattern = np.ones((4, 4), dtype=bool)
-    pattern[np.eye(4, dtype=bool)] = False
-    pattern[0, 3] = pattern[3, 0] = pattern[1, 2] = pattern[2, 1] = False
-    if np.max(np.abs(m[pattern])) > 1e-12:
-        return None
-    if abs(np.imag(m[0, 3])) > 1e-12 or abs(np.imag(m[1, 2])) > 1e-12:
-        return None
-    diag = np.real(np.diag(m))
-    x, y = abs(np.real(m[0, 3])), abs(np.real(m[1, 2]))
-    # relabelings: identity, X(x)X (p1<->p4, p2<->p3), I(x)X and X(x)I (swap x and y)
-    candidates = [
-        (diag[0], diag[1], diag[2], diag[3], x, y),
-        (diag[3], diag[2], diag[1], diag[0], x, y),
-        (diag[1], diag[0], diag[3], diag[2], y, x),
-        (diag[2], diag[3], diag[0], diag[1], y, x),
-    ]
-    for p1, p2, p3, p4, cx, cy in candidates:
-        if p1 >= max(p2, p3, p4) - 1e-12:
-            return twoqubit.ZCorrParams(p1, p2, p3, p4, cx, cy)
-    return None
-
-
-def _check_auto(rho: BipartiteState, opts: OracleOptions) -> Verdict:
-    question = "symmetric extension"
-    if opts.symmetry != "any":
-        result = find_symmetric_extension(rho, opts)
-        return _verdict_from_oracle(question, result)
-
-    if rho.purity() >= 1.0 - 1e-9:
-        ok = states.spectrum_condition(rho)
-        return Verdict(question, "yes" if ok else "no", "closed-form(spectrum)", True)
-
-    coherent = states.coherent_information(rho)
-    if coherent > 1e-6:
-        return Verdict(question, "no", "closed-form(coherent-information)", True,
-                       residuals={"coherent_information": coherent})
-
-    if rho.rank() == 2:
-        mat = np.asarray(rho.matrix)
-        if not twoqubit._rank_le2_necessary_ok(mat, rho.d_a, rho.d_b):
-            return Verdict(question, "no", "closed-form(rank2)", True)
-        if rho.d_a == 2:
-            return Verdict(question, "yes", "closed-form(rank2)", True)
-
-    if rho.d_a == 2 and rho.d_b == 2:
-        bell = twoqubit.bell_diagonal_from_state(rho)
-        if bell is not None:
-            ok = twoqubit.bell_extendible(bell)
-            return Verdict(question, "yes" if ok else "no", "closed-form(bell-diagonal)", True,
-                           residuals={"margin": max(twoqubit.bell_margins(bell))})
-        zc = _zcorr_from_state(rho)
-        if zc is not None and zc.y <= 1e-12:
-            bound = twoqubit.zcorr_bound_y0(zc.p1, zc.p2, zc.p3, zc.p4)
-            ok = zc.x <= bound + 1e-9
-            return Verdict(question, "yes" if ok else "no", "closed-form(zcorr-y0)", True,
-                           residuals={"coupling_slack": bound - zc.x})
-        if zc is not None:
-            ok = twoqubit.zcorr_extendible(zc)
-            return Verdict(question, "yes" if ok else "no", "closed-form(zcorr-grid)", False)
-
-    return _verdict_from_oracle(question, find_symmetric_extension(rho, opts))
-
-
-def _verdict_from_oracle(question: str, result) -> Verdict:
+def _verdict(result: FeasibilityResult) -> Verdict:
+    """Verdict for a decided state; ``residual.oracle`` when the oracle ran,
+    else ``residual.margin`` of the closed form."""
     answer = {Feasibility.FEASIBLE: "yes", Feasibility.INFEASIBLE: "no"}.get(
         result.status, "undecided")
-    residuals = {"oracle": result.residual}
+    residuals = {"oracle" if result.stop_reason else "margin": result.residual}
     if result.witness is not None:
         residuals["witness_symmetry"] = result.witness.symmetry_residual
         residuals["witness_reduction"] = result.witness.reduction_residual
-    # A "no" is proven when its dual certificate re-verified.
-    return Verdict(question, answer, result.method, result.certificate is not None,
+    return Verdict("symmetric extension", answer, result.method, result.proven,
                    residuals=residuals, stop_reason=result.stop_reason)
 
 
@@ -170,7 +101,7 @@ def cmd_check(args) -> int:
     rho = io.load_state(args.file)
     opts = _oracle_options(args)
     if args.method == "auto":
-        verdict = _check_auto(rho, opts)
+        verdict = _verdict(decide(rho, opts))
     elif args.method == "spectrum":
         ok = states.spectrum_condition(rho)
         if rho.purity() >= 1.0 - 1e-9 or (rho.d_a == 2 and rho.d_b == 2 and ok):
@@ -186,37 +117,25 @@ def cmd_check(args) -> int:
         verdict = Verdict("symmetric extension", "yes" if margin >= -1e-10 else "no",
                           "conjecture", False, residuals={"margin": margin})
     else:
-        verdict = _verdict_from_oracle("symmetric extension", find_symmetric_extension(rho, opts))
+        verdict = _verdict(find_symmetric_extension(rho, opts))
     verdict.emit(args.json)
     return verdict.exit_code()
 
 
 def cmd_extend(args) -> int:
     rho = io.load_state(args.file)
-    opts = _oracle_options(args)
-    witness = None
-    method = "oracle"
-    if rho.d_a == 2 and rho.d_b == 2 and states.spectrum_condition(rho):
-        witness = twoqubit.construct_pure_extension(rho)
-        method = "closed-form(pure-extension)"
-    elif rho.d_a == 2 and rho.d_b == 2 and rho.rank() == 2 and twoqubit.rank2_condition(rho):
-        witness = twoqubit.rank2_decompose(rho).mixed_extension(rho)
-        method = "closed-form(rank2-decomposition)"
-    else:
-        result = find_symmetric_extension(rho, opts)
-        if not result.feasible:
-            verdict = _verdict_from_oracle("symmetric extension", result)
-            verdict.emit(args.json)
-            return verdict.exit_code()
-        witness = result.witness
-        method = result.method
+    result = decide(rho, _oracle_options(args), want_witness=True)
+    if not result.feasible:
+        verdict = _verdict(result)
+        verdict.emit(args.json)
+        return verdict.exit_code()
 
-    io.save_extension(args.output, witness)
+    io.save_extension(args.output, result.witness)
     reloaded = io.load_extension(args.output, rho)
     if not states.is_symmetric_extension(reloaded, rho, tol=_witness_tol(args)):
         print("error: witness failed re-verification after write", file=sys.stderr)
         return EXIT_INVALID
-    Verdict("symmetric extension", "yes", method, method.startswith("closed-form"),
+    Verdict("symmetric extension", "yes", result.method, result.proven,
             residuals={"symmetry": reloaded.symmetry_residual,
                        "reduction": reloaded.reduction_residual},
             witness_path=args.output).emit(args.json)
@@ -256,13 +175,7 @@ def cmd_channel(args) -> int:
 
     opts = _oracle_options(args)
     result = classify_channel(channel, opts)
-    answer = {
-        ChannelTag.DEGRADABLE: "degradable",
-        ChannelTag.ANTI_DEGRADABLE: "anti-degradable",
-        ChannelTag.BOTH: "both",
-        ChannelTag.NEITHER: "neither",
-        ChannelTag.UNDECIDED: "undecided",
-    }[result.tag]
+    answer = result.tag.value
     if args.json:
         print(json.dumps({
             "classification": answer,
@@ -282,10 +195,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    builder = gallery.ENTRIES.get(args.name)
-    if builder is None:
-        print(f"error: unknown gallery entry {args.name!r}", file=sys.stderr)
-        return EXIT_INVALID
+    builder = gallery.ENTRIES[args.name]  # argparse restricts the name to these
     if args.name == "example3":
         entry = builder(s=args.s, p=args.p)
     elif args.name == "werner":
@@ -386,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetric extendibility of bipartite states and channel degradability")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--symmetry", choices=["any", "bosonic", "fermionic"], default="any")
+    def common(p, symmetry=True):
+        if symmetry:
+            p.add_argument("--symmetry", choices=["any", "bosonic", "fermionic"], default="any")
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=7)
         p.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="decide symmetric extendibility of a state file")
@@ -408,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-extension", help="verify an extension file against a state file")
     p_ver.add_argument("ext_file")
     p_ver.add_argument("state_file")
-    common(p_ver)
+    common(p_ver, symmetry=False)
     p_ver.set_defaults(func=cmd_verify_extension)
 
     p_ch = sub.add_parser("channel", help="channel tools: classify, choi, complement")
@@ -424,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gal.add_argument("--p", type=float, default=0.5)
     p_gal.add_argument("--steps", type=int, default=21)
     p_gal.add_argument("--csv", default=None)
-    common(p_gal)
     p_gal.set_defaults(func=cmd_gallery)
 
     p_scan = sub.add_parser("scan", help="parameter sweeps emitting CSV")
@@ -432,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--steps", type=int, default=50)
     p_scan.add_argument("--samples", type=int, default=200)
     p_scan.add_argument("--csv", default=None)
-    common(p_scan)
+    p_scan.add_argument("--seed", type=int, default=7)
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

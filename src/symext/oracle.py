@@ -17,6 +17,8 @@ tr(W rho) = tr(S(W (x) I_B') sigma) >= 0, so such a W rules one out; the
 check has a margin of CERTIFICATE_MARGIN * ||W||_F and is re-run from scratch
 by :func:`verify_infeasibility_certificate`.  A run that stalls or hits the
 iteration cap without either certificate comes back Undecided.
+
+:func:`decide` is the decision pipeline: the closed forms in a fixed order, this oracle last.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
+from . import linalg, twoqubit
 from .errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
 from .states import (
     BipartiteState,
     TripartiteExtension,
+    coherent_information,
     is_symmetric_extension,
     spectral_symmetric_decomposition,
+    spectrum_condition,
 )
 
 MAX_EXTENSION_DIM = 1024
@@ -47,6 +51,9 @@ CERTIFY_EVERY = 25
 # A dual certificate W proves infeasibility when tr(W rho) + mu falls below
 # -CERTIFICATE_MARGIN * ||W||_F, mu being the shift that makes S(W (x) I) PSD.
 CERTIFICATE_MARGIN = 1e-9
+
+# Every witness a verdict rests on re-verifies at this tolerance.
+WITNESS_TOL = 1e-7
 
 
 class Feasibility(Enum):
@@ -88,10 +95,13 @@ class FeasibilityResult:
 
     ``witness`` backs a Feasible verdict, ``certificate`` (a shifted dual
     witness W on AB, see :func:`verify_infeasibility_certificate`) an
-    Infeasible one.  ``stop_reason`` says why the oracle stopped:
-    "converged", "certified", "stalled", "iteration-cap", "support"
-    (the state is outside the reductions the symmetry mode can reach) or
-    "witness-rejected"; it is None for verdicts reached without the oracle.
+    Infeasible one.  ``proven``: the verdict rests on a theorem or a
+    verified certificate (not on the grid search or an oracle "yes").
+    ``residual`` is the oracle's best constraint residual, or a closed
+    form's margin (>= 0 on the extendible side).  ``stop_reason`` says why
+    the oracle stopped: "converged", "certified", "stalled", "iteration-cap",
+    "support" (the state is outside the reductions the symmetry mode can
+    reach) or "witness-rejected"; it is None for closed-form verdicts.
     """
 
     status: Feasibility
@@ -101,6 +111,7 @@ class FeasibilityResult:
     method: str = "oracle"
     certificate: np.ndarray | None = None
     stop_reason: str | None = None
+    proven: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -248,7 +259,7 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
             return FeasibilityResult(
                 Feasibility.INFEASIBLE if certified else Feasibility.UNDECIDED, None, bad, 0,
                 method=f"oracle({opts.symmetry}-support)",
-                certificate=cert if certified else None, stop_reason="support")
+                certificate=cert if certified else None, stop_reason="support", proven=certified)
 
     z = geom.embed_bprime(target)
     # The raw residual wobbles (it can bump up right before the final plunge
@@ -271,7 +282,7 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
             cert = geom.shifted(geom.dual_candidate(x - psd))
             if verify_infeasibility_certificate(cert, rho, opts.symmetry):
                 return FeasibilityResult(Feasibility.INFEASIBLE, None, best, it, method,
-                                         certificate=cert, stop_reason="certified")
+                                         certificate=cert, stop_reason="certified", proven=True)
         if it > opts.stall_window:
             old = best_history[it - 1 - opts.stall_window]
             if old > 0.0 and (old - best) / old < opts.stall_improvement:
@@ -285,11 +296,109 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
 def _verified_feasible(x: np.ndarray, rho: BipartiteState, res: float, iterations: int,
                        method: str) -> FeasibilityResult:
     witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
-    if not is_symmetric_extension(witness, rho, tol=1e-7):
+    if not is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
         return FeasibilityResult(Feasibility.UNDECIDED, None, res, iterations, method,
                                  stop_reason="witness-rejected")
     return FeasibilityResult(Feasibility.FEASIBLE, witness, res, iterations, method,
                              stop_reason="converged")
+
+
+def _closed_form(ok: bool, name: str, margin: float, witness: TripartiteExtension | None = None,
+                 proven: bool = True) -> FeasibilityResult:
+    return FeasibilityResult(Feasibility.FEASIBLE if ok else Feasibility.INFEASIBLE, witness,
+                             float(margin), 0, f"closed-form({name})", proven=proven)
+
+
+def _lambda_max_margin(rho: BipartiteState) -> float:
+    """lambda_max(rho_B) - lambda_max(rho_AB)."""
+    return float(linalg.nonzero_eigenvalues(rho.rho_b)[0] - linalg.nonzero_eigenvalues(rho.matrix)[0])
+
+
+def _pure_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
+    """A pure state is extendible iff the spectrum condition holds."""
+    if rho.purity() < 1.0 - 1e-9:
+        return None
+    ok, margin = spectrum_condition(rho), _lambda_max_margin(rho)
+    if ok and want_witness and (rho.d_a, rho.d_b) == (2, 2):
+        return _closed_form(True, "pure-extension", margin, twoqubit.construct_pure_extension(rho))
+    return _closed_form(ok, "spectrum", margin)
+
+
+def _coherent_information_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
+    """Positive coherent information S(B) - S(AB) rules an extension out."""
+    coherent = coherent_information(rho)
+    return _closed_form(False, "coherent-information", -coherent) if coherent > 1e-6 else None
+
+
+def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
+    """Rank 2: the maximum-eigenvalue test, necessary always and sufficient for qubit A."""
+    if rho.rank() != 2:
+        return None
+    margin = _lambda_max_margin(rho)
+    if not twoqubit._rank_le2_necessary_ok(np.asarray(rho.matrix), rho.d_a, rho.d_b):
+        return _closed_form(False, "rank2", margin)
+    if rho.d_a != 2:
+        return None
+    if want_witness and rho.d_b == 2:
+        return _closed_form(True, "rank2-decomposition", margin,
+                            twoqubit.rank2_decompose(rho).mixed_extension(rho))
+    return _closed_form(True, "rank2", margin)
+
+
+def _bell_diagonal_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
+    bell = twoqubit.bell_diagonal_from_state(rho)
+    if bell is None:
+        return None
+    return _closed_form(twoqubit.bell_extendible(bell), "bell-diagonal", max(twoqubit.bell_margins(bell)))
+
+
+def _zcorr_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
+    """Z-correlated states: exact when y = 0, an unproven grid search otherwise."""
+    found = twoqubit.zcorr_from_state(rho)
+    if found is None:
+        return None
+    z, u_a, u_b = found
+    exact = bool(z.y <= 1e-12)
+    if exact:
+        bound = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4)
+        ok, margin = z.x <= bound + 1e-9, bound - z.x
+    else:
+        ok, margin = twoqubit.zcorr_extendible(z), twoqubit._zcorr_grid_search(z)[0]
+    point = twoqubit.zcorr_feasible_point(z) if ok and want_witness else None
+    witness = None
+    if point is not None:
+        local = np.kron(u_a, np.kron(u_b, u_b))
+        canonical = twoqubit.zcorr_build_extension(z, *point).matrix
+        witness = TripartiteExtension(linalg.dagger(local) @ canonical @ local, 2, 2, rho.matrix)
+    return _closed_form(ok, "zcorr-y0" if exact else "zcorr-grid", margin, witness, proven=exact)
+
+
+def decide(rho: BipartiteState, opts: OracleOptions | None = None,
+           want_witness: bool = False) -> FeasibilityResult:
+    """Decide whether ``rho`` has a symmetric extension.
+
+    In mode "any" the first closed form that applies decides, in this order:
+    pure state, positive coherent information, rank 2, Bell-diagonal,
+    Z-correlated.  Other modes, and states no closed form decides, go to
+    :func:`find_symmetric_extension`.  With ``want_witness`` a closed-form
+    "yes" counts only with a witness that re-verifies at WITNESS_TOL and a
+    "no" only when proven; otherwise the next step runs.
+    """
+    opts = opts or OracleOptions()
+    steps = (_pure_step, _coherent_information_step, _rank2_step, _bell_diagonal_step,
+             _zcorr_step) if opts.symmetry == "any" else ()
+    for step in steps:
+        result = step(rho, want_witness)
+        if result is not None and (not want_witness or _backed(result, rho)):
+            return result
+    return find_symmetric_extension(rho, opts)
+
+
+def _backed(result: FeasibilityResult, rho: BipartiteState) -> bool:
+    """A "yes" with a witness that re-verifies, or a proven "no"."""
+    if result.feasible:
+        return result.witness is not None and is_symmetric_extension(result.witness, rho, WITNESS_TOL)
+    return result.proven
 
 
 def bosonic_from_symmetric(sigma: TripartiteExtension, tol: float = 1e-8) -> TripartiteExtension:

@@ -398,19 +398,26 @@ class BellDiagonalParams:
 
 def bell_alphas(params: BellDiagonalParams) -> tuple[float, float, float]:
     """Coordinates (a1, a2, a3) of the extendibility inequalities."""
-    p_i, p_x, p_y, p_z = params.p_i, params.p_x, params.p_y, params.p_z
-    a1 = p_i - p_x - p_y + p_z
-    a2 = math.sqrt(2.0) * (p_i - p_z)
-    a3 = math.sqrt(2.0) * (p_x - p_y)
-    return a1, a2, a3
+    return _bell_alphas(params.as_array())
+
+
+def _bell_alphas(probs):
+    """(a1, a2, a3) for Bell weights (p_i, p_x, p_y, p_z) along the last axis."""
+    p_i, p_x, p_y, p_z = probs.T
+    return p_i - p_x - p_y + p_z, math.sqrt(2.0) * (p_i - p_z), math.sqrt(2.0) * (p_x - p_y)
 
 
 def _bell_margins_from_alphas(a1, a2, a3):
-    quartic = 4.0 * a1 * (a2 ** 2 - a3 ** 2) - (a2 ** 2 - a3 ** 2) ** 2 \
-        - 4.0 * a1 ** 2 * (a2 ** 2 + a3 ** 2)
-    lin2 = a2 ** 2 - a3 ** 2 - 2.0 * math.sqrt(2.0) * a1 * abs(a2)
-    lin3 = a3 ** 2 - a2 ** 2 + 2.0 * math.sqrt(2.0) * a1 * abs(a3)
+    d = a2 ** 2 - a3 ** 2
+    quartic = 4.0 * a1 * d - d ** 2 - 4.0 * a1 ** 2 * (a2 ** 2 + a3 ** 2)
+    lin2 = d - 2.0 * math.sqrt(2.0) * a1 * np.abs(a2)
+    lin3 = -d + 2.0 * math.sqrt(2.0) * a1 * np.abs(a3)
     return quartic, lin2, lin3
+
+
+def _bell_conjecture_margin(probs):
+    det = np.clip(np.prod(probs, axis=-1), 0.0, None)
+    return 4.0 * np.sqrt(det) - (np.sum(probs ** 2, axis=-1) - 0.5)
 
 
 def bell_margins(params: BellDiagonalParams) -> tuple[float, float, float]:
@@ -425,9 +432,7 @@ def bell_extendible(params: BellDiagonalParams) -> bool:
 
 def bell_conjecture_margin(params: BellDiagonalParams) -> float:
     """Slack of 4 sqrt(det rho) >= tr(rho^2) - 1/2 for Bell-diagonal states."""
-    p = params.as_array()
-    det = max(float(np.prod(p)), 0.0)
-    return 4.0 * math.sqrt(det) - (float(np.sum(p ** 2)) - 0.5)
+    return float(_bell_conjecture_margin(params.as_array()))
 
 
 def bell_conjecture_form(params: BellDiagonalParams) -> bool:
@@ -444,21 +449,6 @@ def bell_diagonal_from_state(state: BipartiteState, tol: float = 1e-10) -> BellD
         return None
     d = np.real(np.diag(in_bell))
     return BellDiagonalParams(p_i=float(d[0]), p_x=float(d[1]), p_y=float(d[2]), p_z=float(d[3]))
-
-
-def _bell_margins_vectorized(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max closed-form margin, determinant-form margin) per probability row."""
-    a1 = probs[:, 0] - probs[:, 1] - probs[:, 2] + probs[:, 3]
-    a2 = math.sqrt(2.0) * (probs[:, 0] - probs[:, 3])
-    a3 = math.sqrt(2.0) * (probs[:, 1] - probs[:, 2])
-    d = a2 ** 2 - a3 ** 2
-    quartic = 4.0 * a1 * d - d ** 2 - 4.0 * a1 ** 2 * (a2 ** 2 + a3 ** 2)
-    lin2 = d - 2.0 * math.sqrt(2.0) * a1 * np.abs(a2)
-    lin3 = -d + 2.0 * math.sqrt(2.0) * a1 * np.abs(a3)
-    closed = np.maximum(quartic, np.maximum(lin2, lin3))
-    det = np.clip(np.prod(probs, axis=1), 0.0, None)
-    conj = 4.0 * np.sqrt(det) - (np.sum(probs ** 2, axis=1) - 0.5)
-    return closed, conj
 
 
 @dataclass(frozen=True)
@@ -478,7 +468,8 @@ def bell_equivalence_check(n: int, seed: int = 1, band: float = 1e-9) -> BellEqu
     """
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet([1.0, 1.0, 1.0, 1.0], size=n)
-    closed, conj = _bell_margins_vectorized(probs)
+    closed = np.max(_bell_margins_from_alphas(*_bell_alphas(probs)), axis=0)
+    conj = _bell_conjecture_margin(probs)
     boundary = (np.abs(closed) <= band) | (np.abs(conj) <= band)
     disagree = ((closed >= 0) != (conj >= 0)) & ~boundary
     return BellEquivalenceReport(samples=n, disagreements=int(disagree.sum()),
@@ -616,6 +607,36 @@ def zcorr_extendible(z: ZCorrParams) -> bool:
         return True
     margin, _, _ = _zcorr_grid_search(z)
     return margin >= -1e-9
+
+
+def zcorr_from_state(rho: BipartiteState) -> tuple[ZCorrParams, np.ndarray, np.ndarray] | None:
+    """Canonical form (z, u_a, u_b) of a real diagonal-plus-antidiagonal state, or None.
+
+    (u_a (x) u_b) rho (u_a (x) u_b)^dag = z.matrix(): a phase gate makes
+    both couplings nonnegative, then a relabeling puts p1 first.
+    """
+    if rho.d_a != 2 or rho.d_b != 2:
+        return None
+    m = np.asarray(rho.matrix)
+    outside = ~(np.eye(4, dtype=bool) | np.fliplr(np.eye(4, dtype=bool)))
+    anti = np.fliplr(m).diagonal()  # rho[0, 3], rho[1, 2], rho[2, 1], rho[3, 0]
+    if np.max(np.abs(m[outside])) > 1e-12 or np.max(np.abs(anti[:2].imag)) > 1e-12:
+        return None
+    # diag(1, e^ia) (x) diag(1, e^ib) multiplies rho[0, 3] by e^-i(a+b) and
+    # rho[1, 2] by e^i(b-a); a + b and a - b are 0 or pi here
+    sum_ab, diff_ab = np.angle(anti[0].real), np.angle(anti[1].real)
+    phase_a = np.diag([1.0, np.exp(0.5j * (sum_ab + diff_ab))])
+    phase_b = np.diag([1.0, np.exp(0.5j * (sum_ab - diff_ab))])
+    diag = np.real(np.diag(m))
+    x, y = abs(anti[0].real), abs(anti[1].real)
+    # relabelings I, X(x)X, I(x)X, X(x)I permute the diagonal; the last two swap x and y
+    for flip_a, flip_b, order in ((I2, I2, [0, 1, 2, 3]), (SX, SX, [3, 2, 1, 0]),
+                                  (I2, SX, [1, 0, 3, 2]), (SX, I2, [2, 3, 0, 1])):
+        p1, p2, p3, p4 = diag[order]
+        cx, cy = (x, y) if order[0] in (0, 3) else (y, x)
+        if p1 >= max(p2, p3, p4) - 1e-12:
+            return ZCorrParams(p1, p2, p3, p4, cx, cy), flip_a @ phase_a, flip_b @ phase_b
+    return None
 
 
 def _phase_gates(u: complex, v: complex) -> np.ndarray:

@@ -12,11 +12,10 @@ from symext.channels import (
     is_anti_degradable,
     is_degradable,
     kraus_from_choi,
-    rank2_marginal_rank_bound,
 )
 from symext.cli import amplitude_damping
-from symext.errors import InvalidChannel, NotAnExtension, WrongRank
-from symext.oracle import Feasibility, find_symmetric_extension
+from symext.errors import InvalidChannel, NotAnExtension
+from symext.oracle import Feasibility, OracleOptions, find_symmetric_extension
 from symext.states import BipartiteState
 
 
@@ -117,6 +116,15 @@ class TestDegradability:
         assert is_anti_degradable(amplitude_damping(0.3)).feasible
         assert is_anti_degradable(amplitude_damping(0.8)).infeasible
 
+    def test_symmetry_mode_is_honoured(self):
+        # With qubit B, fermionic extensions only reach states M_A (x) I/2,
+        # which the damping Choi state is not; bosonic ones reach everything
+        # a plain extension does.
+        damping = amplitude_damping(0.3)
+        fermionic = is_anti_degradable(damping, OracleOptions(symmetry="fermionic"))
+        assert fermionic.status is not Feasibility.FEASIBLE
+        assert is_anti_degradable(damping, OracleOptions(symmetry="bosonic")).feasible
+
     def test_damping_threshold(self):
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-4:
@@ -168,32 +176,6 @@ class TestDegradability:
             lmax_b = states.spectrum(choi.rho_b).lambda_max
             assert lmax_ab <= lmax_b + 1e-9
         assert found >= 1
-
-
-class TestMarginalRankBound:
-    def test_two_qubit_rank2_always_true(self, rng):
-        from conftest import random_rank2_state
-        for _ in range(5):
-            assert rank2_marginal_rank_bound(random_rank2_state(rng))
-
-    def test_rank3_marginal_excluded(self):
-        # rank-2 state on 2x3 whose B marginal has rank 3
-        psi1 = np.zeros(6, dtype=complex)
-        psi1[0] = 1.0  # |0,0>
-        psi2 = np.zeros(6, dtype=complex)
-        psi2[1] = psi2[5] = 1 / np.sqrt(2)  # |0,1> + |1,2|
-        rho = BipartiteState(0.5 * np.outer(psi1, psi1.conj())
-                             + 0.5 * np.outer(psi2, psi2.conj()), 2, 3)
-        assert linalg.numerical_rank(rho.rho_b) == 3
-        assert not rank2_marginal_rank_bound(rho)
-
-    def test_ancilla_example_not_excluded(self):
-        from symext.gallery import two_qubit_with_ancilla
-        assert rank2_marginal_rank_bound(two_qubit_with_ancilla())
-
-    def test_wrong_rank(self, maximally_mixed):
-        with pytest.raises(WrongRank):
-            rank2_marginal_rank_bound(maximally_mixed)
 
 
 class TestDegradingMap:

@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 from conftest import random_state, traced_symmetric_state
 
-from symext import gallery, io, linalg
+from symext import gallery, io, linalg, states, twoqubit
 from symext.channels import Channel
 from symext.cli import EXIT_INVALID, EXIT_NO, EXIT_YES, amplitude_damping, main
 
@@ -140,6 +141,35 @@ class TestExtendCommand:
         assert "rank2-decomposition" in capsys.readouterr().out
         assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
 
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_extend_zcorr_witness(self, tmp_path, capsys, relabel):
+        z = twoqubit.ZCorrParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.0)
+        mat = z.matrix()
+        if relabel:  # X (x) X copy with a negative x
+            xx = np.kron(twoqubit.SX, twoqubit.SX)
+            mat = xx @ mat @ xx
+            mat[0, 3] = mat[3, 0] = -z.x
+        state_path = str(tmp_path / "zcorr.json")
+        ext_path = str(tmp_path / "ext.json")
+        io.save_state(state_path, states.BipartiteState(mat, 2, 2))
+        assert main(["extend", state_path, "-o", ext_path]) == EXIT_YES
+        assert "method: closed-form(zcorr-y0)" in capsys.readouterr().out
+        assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
+
+    def test_extend_honours_symmetry(self, tmp_path, rng, capsys):
+        # rank 2 with the spectrum condition, so a plain pure extension exists;
+        # a fermionic one with qubit B needs rho = M_A (x) I/2
+        rho = traced_symmetric_state(rng)
+        assert rho.rank() == 2 and states.spectrum_condition(rho)
+        state_path = str(tmp_path / "state.json")
+        ext_path = tmp_path / "ext.json"
+        io.save_state(state_path, rho)
+        code = main(["extend", state_path, "-o", str(ext_path), "--symmetry", "fermionic", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NO
+        assert not payload["method"].startswith("closed-form")
+        assert not ext_path.exists()
+
     def test_extend_refuses_bell(self, bell_file, tmp_path):
         ext_path = str(tmp_path / "ext.json")
         assert main(["extend", bell_file, "-o", ext_path]) == EXIT_NO
@@ -258,3 +288,21 @@ class TestScanCommand:
         lines = open(csv_path).read().strip().splitlines()
         assert lines[0] == "eta,degradable,anti_degradable,class"
         assert len(lines) == 6
+
+    def test_damping_scan_flips_at_half(self, tmp_path):
+        csv_path = str(tmp_path / "ad.csv")
+        assert main(["scan", "amplitude-damping", "--steps", "11", "--csv", csv_path]) == EXIT_YES
+        with open(csv_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 11
+        for row in rows:
+            eta = float(row["eta"])
+            if abs(eta - 0.5) < 1e-12:
+                assert row["class"] == "both"
+            else:
+                assert row["class"] == ("anti-degradable" if eta < 0.5 else "degradable")
+
+    def test_unread_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "bell", "--symmetry", "bosonic"])
+        assert exc.value.code == EXIT_INVALID

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_state, random_unitary, traced_symmetric_state
+from conftest import random_rank2_state, random_state, random_unitary, traced_symmetric_state
 
 from symext import gallery, linalg, states, twoqubit
 from symext.errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
@@ -8,6 +8,7 @@ from symext.oracle import (
     Feasibility,
     OracleOptions,
     bosonic_from_symmetric,
+    decide,
     fermionic_qutrit_example,
     find_symmetric_extension,
     verify_infeasibility_certificate,
@@ -241,3 +242,21 @@ class TestInfeasibilityCertificate:
         result = find_symmetric_extension(bell_state, OracleOptions(max_iterations=10))
         assert result.status is Feasibility.UNDECIDED
         assert result.stop_reason == "iteration-cap"
+
+
+def test_decide_witness_rule(rng):
+    # gallery states plus 20 seeded two-qubit states of mixed rank
+    samples = [gallery.two_qubit_with_ancilla(), gallery.qutrit_qubit(), gallery.qubit_qutrit(0.75),
+               gallery.werner(0.5), gallery.werner(0.8), fermionic_qutrit_example()[0]]
+    makers = (lambda: random_state(2, 2, rng), lambda: random_state(2, 2, rng, rank=1),
+              lambda: random_rank2_state(rng), lambda: traced_symmetric_state(rng))
+    samples += [makers[i % len(makers)]() for i in range(20)]
+    for rho in samples:
+        plain, backed = decide(rho), decide(rho, want_witness=True)
+        if Feasibility.UNDECIDED not in (plain.status, backed.status):
+            assert plain.status is backed.status
+        assert backed.witness is not None or not backed.feasible
+        assert backed.proven or not backed.infeasible
+        for result in (plain, backed):
+            if result.witness is not None:
+                assert is_symmetric_extension(result.witness, rho, tol=1e-7)

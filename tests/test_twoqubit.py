@@ -134,6 +134,17 @@ class TestRank2:
         # spectra match but tracing one A factor exposes a maximally entangled pair
         assert not twoqubit.rank2_condition(gallery.two_qubit_with_ancilla())
 
+    def test_rank3_marginal_rejected(self):
+        # rank-2 state on 2x3 whose B marginal has rank 3
+        psi1 = np.zeros(6, dtype=complex)
+        psi1[0] = 1.0  # |0,0>
+        psi2 = np.zeros(6, dtype=complex)
+        psi2[1] = psi2[5] = 1 / np.sqrt(2)  # |0,1> + |1,2>
+        rho = BipartiteState(0.5 * np.outer(psi1, psi1.conj())
+                             + 0.5 * np.outer(psi2, psi2.conj()), 2, 3)
+        assert linalg.numerical_rank(rho.rho_b) == 3
+        assert not twoqubit.rank2_condition(rho)
+
     def test_wrong_rank(self, rng, maximally_mixed):
         with pytest.raises(WrongRank):
             twoqubit.rank2_condition(maximally_mixed)
@@ -224,6 +235,25 @@ class TestBellDiagonal:
 
 
 class TestZCorrelated:
+    def test_from_state_canonicalizes(self):
+        z = ZCorrParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.05)
+        i2, sx = twoqubit.I2, twoqubit.SX
+        for flip_a, flip_b in ((i2, i2), (sx, sx), (i2, sx), (sx, i2)):
+            for sign_x, sign_y in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                mat = z.matrix()
+                mat[0, 3] = mat[3, 0] = sign_x * z.x
+                mat[1, 2] = mat[2, 1] = sign_y * z.y
+                relabel = np.kron(flip_a, flip_b)
+                rho = BipartiteState(relabel @ mat @ relabel, 2, 2)
+                found, u_a, u_b = twoqubit.zcorr_from_state(rho)
+                assert found == z
+                local = np.kron(u_a, u_b)
+                assert np.allclose(local @ rho.matrix @ local.conj().T, z.matrix(), atol=1e-14)
+
+    def test_from_state_rejects_other_forms(self, rng):
+        assert twoqubit.zcorr_from_state(random_state(2, 2, rng)) is None
+        assert twoqubit.zcorr_from_state(random_state(2, 3, rng)) is None
+
     def test_bound_reachable_branch(self):
         # p1 p3 + p2 p4 = 0.11 >= p1 p4 = 0.04, so the bound is sqrt(p1 p4)
         assert twoqubit.zcorr_bound_y0(0.4, 0.3, 0.2, 0.1) == pytest.approx(0.2)
