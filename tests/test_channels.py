@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symext import linalg, states
+from symext import gallery, linalg, states, twoqubit
 from symext.channels import (
     Channel,
     ChannelTag,
@@ -14,7 +14,7 @@ from symext.channels import (
     kraus_from_choi,
 )
 from symext.cli import amplitude_damping
-from symext.errors import InvalidChannel, NotAnExtension
+from symext.errors import InvalidChannel, NotAnExtension, WrongRank
 from symext.oracle import Feasibility, OracleOptions, find_symmetric_extension
 from symext.states import BipartiteState
 
@@ -176,6 +176,19 @@ class TestDegradability:
             lmax_b = states.spectrum(choi.rho_b).lambda_max
             assert lmax_ab <= lmax_b + 1e-9
         assert found >= 1
+
+
+class TestMarginalRankBound:
+    # The rank(rho_B) <= 2 bound is the first test of the rank-2 step that
+    # is_anti_degradable reaches through oracle.decide.
+    def test_ancilla_example_not_excluded(self):
+        rho = gallery.two_qubit_with_ancilla()
+        assert linalg.numerical_rank(rho.rho_b) <= 2
+        assert twoqubit._rank_le2_necessary_ok(np.asarray(rho.matrix), rho.d_a, rho.d_b)
+
+    def test_wrong_rank(self, maximally_mixed):
+        with pytest.raises(WrongRank):
+            twoqubit.rank2_condition(maximally_mixed)
 
 
 class TestDegradingMap:
