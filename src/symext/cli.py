@@ -102,16 +102,6 @@ def cmd_check(args) -> int:
     opts = _oracle_options(args)
     if args.method == "auto":
         verdict = _verdict(decide(rho, opts))
-    elif args.method == "spectrum":
-        ok = states.spectrum_condition(rho)
-        if rho.purity() >= 1.0 - 1e-9 or (rho.d_a == 2 and rho.d_b == 2 and ok):
-            verdict = Verdict("symmetric extension", "yes" if ok else "no",
-                              "spectrum", True)
-        elif ok:
-            # condition holds but is only necessary for pure extendibility here
-            verdict = Verdict("symmetric extension", "undecided", "spectrum", False)
-        else:
-            verdict = Verdict("pure symmetric extension", "no", "spectrum", True)
     elif args.method == "conjecture":
         margin = twoqubit.conjecture_margin(rho)
         verdict = Verdict("symmetric extension", "yes" if margin >= -1e-10 else "no",
@@ -304,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide symmetric extendibility of a state file")
     p_check.add_argument("file")
-    p_check.add_argument("--method", choices=["auto", "spectrum", "conjecture", "oracle"],
+    p_check.add_argument("--method", choices=["auto", "conjecture", "oracle"],
                          default="auto")
     common(p_check)
     p_check.set_defaults(func=cmd_check)

@@ -55,6 +55,11 @@ CERTIFICATE_MARGIN = 1e-9
 # Every witness a verdict rests on re-verifies at this tolerance.
 WITNESS_TOL = 1e-7
 
+# A two-qubit state with |conjecture_margin| at most this goes to the oracle.
+# For a singular rho a rounding error of about 1e-16 in det rho becomes up to
+# about 4e-8 after 4 sqrt(.), so the sign of a smaller margin is not reliable.
+TWO_QUBIT_BAND = 1e-6
+
 
 class Feasibility(Enum):
     FEASIBLE = "feasible"
@@ -95,13 +100,14 @@ class FeasibilityResult:
 
     ``witness`` backs a Feasible verdict, ``certificate`` (a shifted dual
     witness W on AB, see :func:`verify_infeasibility_certificate`) an
-    Infeasible one.  ``proven``: the verdict rests on a theorem or a
-    verified certificate (not on the grid search or an oracle "yes").
-    ``residual`` is the oracle's best constraint residual, or a closed
-    form's margin (>= 0 on the extendible side).  ``stop_reason`` says why
-    the oracle stopped: "converged", "certified", "stalled", "iteration-cap",
-    "support" (the state is outside the reductions the symmetry mode can
-    reach) or "witness-rejected"; it is None for closed-form verdicts.
+    Infeasible one.  ``proven``: the verdict rests on a theorem (such as the
+    two-qubit condition, Chen et al., PRA 90, 032318 (2014)) or a verified
+    certificate, not on the grid search or an oracle "yes".  ``residual`` is
+    the oracle's best constraint residual, or a closed form's margin (>= 0 on
+    the extendible side).  ``stop_reason`` says why the oracle stopped:
+    "converged", "certified", "stalled", "iteration-cap", "support" (the
+    state is outside the reductions the symmetry mode can reach) or
+    "witness-rejected"; it is None for closed-form verdicts.
     """
 
     status: Feasibility
@@ -169,26 +175,30 @@ class _ExtensionGeometry:
     def unreachable_part(self, rho: np.ndarray) -> np.ndarray | None:
         """Component of rho outside the reachable reductions, or None.
 
-        Only a singular constraint operator leaves anything unreachable,
-        which happens for fermionic symmetry with qubit B: the antisymmetric
-        subspace is spanned by the singlet, so only states of the form
-        M_A (x) I/2 are reachable at all.
+        C = alpha (Id - E) + (alpha + beta) E (see :meth:`solve_constraint`),
+        so alpha = 0 leaves range(Id - E) unreachable and alpha + beta = 0
+        leaves range(E) unreachable.  This happens for fermionic symmetry with
+        qubit B (only M_A (x) I/2 is reachable) and with d_b = 1 (nothing is).
         """
-        if self.alpha > 1e-12:
-            return None
-        return rho - self._embed_b(self._reduce_b(rho))
+        if abs(self.alpha) <= 1e-12:
+            return rho - self._embed_b(self._reduce_b(rho))
+        if abs(self.alpha + self.beta) <= 1e-12:
+            return self._embed_b(self._reduce_b(rho))
+        return None
 
     def solve_constraint(self, r: np.ndarray) -> np.ndarray:
-        """Apply C^-1 (the pseudo-inverse when C is singular).
+        """Apply C^-1 (on its range, where every argument lies, when C is singular).
 
         The constraint operator C = tr_B' o S o ( . (x) I/d_b ) equals
         alpha*Id + beta*E with E(m) = (tr_B m) (x) I_B/d_b an orthogonal
         projector, so its inverse is available in closed form.
         """
-        if self.alpha > 1e-12:
-            er = self._embed_b(self._reduce_b(r))
-            return r / self.alpha + (1.0 / (self.alpha + self.beta) - 1.0 / self.alpha) * er
-        return r / self.beta
+        if abs(self.alpha) <= 1e-12:
+            return r / self.beta
+        if abs(self.alpha + self.beta) <= 1e-12:
+            return r / self.alpha
+        er = self._embed_b(self._reduce_b(r))
+        return r / self.alpha + (1.0 / (self.alpha + self.beta) - 1.0 / self.alpha) * er
 
     def project_affine(self, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {Y = S(Y), tr_B' Y = rho}."""
@@ -345,32 +355,36 @@ def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | 
     return _closed_form(True, "rank2", margin)
 
 
-def _bell_diagonal_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
-    bell = twoqubit.bell_diagonal_from_state(rho)
-    if bell is None:
-        return None
-    return _closed_form(twoqubit.bell_extendible(bell), "bell-diagonal", max(twoqubit.bell_margins(bell)))
-
-
 def _zcorr_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
-    """Z-correlated states: exact when y = 0, an unproven grid search otherwise."""
+    """Z-correlated states: the closed form decides when y = 0; when y > 0
+    one grid search only builds a witness, for ``want_witness``."""
     found = twoqubit.zcorr_from_state(rho)
-    if found is None:
+    if found is None or (found[0].y > 1e-12 and not want_witness):
         return None
     z, u_a, u_b = found
-    exact = bool(z.y <= 1e-12)
-    if exact:
-        bound = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4)
-        ok, margin = z.x <= bound + 1e-9, bound - z.x
-    else:
-        ok, margin = twoqubit.zcorr_extendible(z), twoqubit._zcorr_grid_search(z)[0]
-    point = twoqubit.zcorr_feasible_point(z) if ok and want_witness else None
+    point = twoqubit.zcorr_feasible_point(z)
+    if z.y <= 1e-12:
+        margin, name = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4) - z.x, "zcorr-y0"
+    elif point is None:
+        return None
+    else:  # the slack of both coupling inequalities at the point
+        margin, name = min(twoqubit._zcorr_f(*point, z.p1, z.p4) - z.x,
+                           twoqubit._zcorr_h(*point, z.p2, z.p3) - z.y), "zcorr-grid"
     witness = None
-    if point is not None:
+    if point is not None and want_witness:
         local = np.kron(u_a, np.kron(u_b, u_b))
         canonical = twoqubit.zcorr_build_extension(z, *point).matrix
         witness = TripartiteExtension(linalg.dagger(local) @ canonical @ local, 2, 2, rho.matrix)
-    return _closed_form(ok, "zcorr-y0" if exact else "zcorr-grid", margin, witness, proven=exact)
+    return _closed_form(point is not None, name, margin, witness, proven=name == "zcorr-y0")
+
+
+def _two_qubit_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
+    """Two qubits are extendible iff ``twoqubit.conjecture_margin`` >= 0, proven by
+    Chen, Ji, Kribs, Lutkenhaus and Zeng, PRA 90, 032318 (2014), arXiv:1310.3530."""
+    if (rho.d_a, rho.d_b) != (2, 2):
+        return None
+    margin = twoqubit.conjecture_margin(rho)
+    return _closed_form(margin > 0.0, "two-qubit", margin) if abs(margin) > TWO_QUBIT_BAND else None
 
 
 def decide(rho: BipartiteState, opts: OracleOptions | None = None,
@@ -378,15 +392,17 @@ def decide(rho: BipartiteState, opts: OracleOptions | None = None,
     """Decide whether ``rho`` has a symmetric extension.
 
     In mode "any" the first closed form that applies decides, in this order:
-    pure state, positive coherent information, rank 2, Bell-diagonal,
-    Z-correlated.  Other modes, and states no closed form decides, go to
-    :func:`find_symmetric_extension`.  With ``want_witness`` a closed-form
-    "yes" counts only with a witness that re-verifies at WITNESS_TOL and a
-    "no" only when proven; otherwise the next step runs.
+    pure state, positive coherent information, rank 2, Z-correlated (y = 0),
+    two qubits (the purity/determinant condition proven by Chen et al., PRA
+    90, 032318 (2014), when |margin| > TWO_QUBIT_BAND).  Other modes, and
+    states no closed form decides, go to :func:`find_symmetric_extension`.
+    With ``want_witness`` a closed-form "yes" counts only with a witness that
+    re-verifies at WITNESS_TOL (y > 0 Z-correlated states get one from the
+    grid search) and a "no" only when proven; otherwise the next step runs.
     """
     opts = opts or OracleOptions()
-    steps = (_pure_step, _coherent_information_step, _rank2_step, _bell_diagonal_step,
-             _zcorr_step) if opts.symmetry == "any" else ()
+    steps = (_pure_step, _coherent_information_step, _rank2_step, _zcorr_step,
+             _two_qubit_step) if opts.symmetry == "any" else ()
     for step in steps:
         result = step(rho, want_witness)
         if result is not None and (not want_witness or _backed(result, rho)):

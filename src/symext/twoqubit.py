@@ -1,9 +1,9 @@
 """Closed-form symmetric-extension machinery for two qubits and rank-2 states.
 
 Contents: the constructive pure extension for two-qubit states satisfying the
-spectrum condition, the purity/determinant extendibility test (exact on the
-proven subclasses, conjectured in general), the rank-2 criterion and its
-constructive decomposition, Bell-diagonal inequalities, the Z-correlated
+spectrum condition, the purity/determinant extendibility test (proven by
+Chen, Ji, Kribs, Lutkenhaus and Zeng, PRA 90, 032318 (2014)), the rank-2
+criterion and its decomposition, Bell-diagonal inequalities, the Z-correlated
 family, and the extremality classification of pure-extendible states.
 """
 
@@ -209,12 +209,13 @@ def construct_pure_extension(rho: BipartiteState) -> TripartiteExtension:
 
 
 # ---------------------------------------------------------------------------
-# purity/determinant condition (conjectured in general, exact on subclasses)
+# purity/determinant condition (Chen, Ji, Kribs, Lutkenhaus, Zeng 2014)
 # ---------------------------------------------------------------------------
 
 def conjecture_margin(rho: BipartiteState) -> float:
-    """tr(rho_B^2) + 4 sqrt(det rho) - tr(rho^2); nonnegative iff the
-    conjectured extendibility condition holds."""
+    """tr(rho_B^2) + 4 sqrt(det rho) - tr(rho^2); nonnegative iff the state is
+    extendible (conjectured in the source paper, proven by Chen, Ji, Kribs,
+    Lutkenhaus and Zeng, PRA 90, 032318 (2014), arXiv:1310.3530)."""
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatch("the purity/determinant condition is for two qubits")
     mat = np.asarray(rho.matrix)
@@ -225,7 +226,8 @@ def conjecture_margin(rho: BipartiteState) -> float:
 
 
 def check_conjecture(rho: BipartiteState) -> bool:
-    """Conjectured two-qubit extendibility verdict (proven only on subclasses)."""
+    """Sign of :func:`conjecture_margin` (proven by Chen et al., PRA 90, 032318
+    (2014)), read without the rounding band ``oracle.decide`` applies."""
     return conjecture_margin(rho) >= -1e-10
 
 
@@ -594,19 +596,9 @@ def zcorr_feasible_point(z: ZCorrParams) -> tuple[float, float] | None:
 
 
 def zcorr_extendible(z: ZCorrParams) -> bool:
-    """Extendibility of a Z-correlated state.
-
-    Exact closed form when y = 0 or when p3 >= p4 (always extendible there);
-    otherwise a refined grid search over the coupling inequalities.
-    """
-    if z.x <= 1e-12 and z.y <= 1e-12:
-        return True
-    if z.y <= 1e-12:
-        return z.x <= zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4) + 1e-9
-    if z.p3 >= z.p4 - 1e-15:
-        return True
-    margin, _, _ = _zcorr_grid_search(z)
-    return margin >= -1e-9
+    """Whether :func:`zcorr_feasible_point` finds a witness point (exact closed
+    form when y = 0, a refined grid search otherwise)."""
+    return zcorr_feasible_point(z) is not None
 
 
 def zcorr_from_state(rho: BipartiteState) -> tuple[ZCorrParams, np.ndarray, np.ndarray] | None:

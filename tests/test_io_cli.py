@@ -8,6 +8,7 @@ from conftest import random_state, traced_symmetric_state
 from symext import gallery, io, linalg, states, twoqubit
 from symext.channels import Channel
 from symext.cli import EXIT_INVALID, EXIT_NO, EXIT_YES, amplitude_damping, main
+from symext.oracle import decide
 
 
 @pytest.fixture
@@ -88,6 +89,11 @@ class TestCheckCommand:
         assert payload["answer"] == "yes"
         assert payload["method"].startswith("oracle")
 
+    def test_spectrum_method_removed(self, mixed_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", mixed_file, "--method", "spectrum"])
+        assert exc.value.code == EXIT_INVALID
+
     def test_invalid_file_exit_code(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("{")
@@ -142,19 +148,29 @@ class TestExtendCommand:
         assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
 
     @pytest.mark.parametrize("relabel", [False, True])
-    def test_extend_zcorr_witness(self, tmp_path, capsys, relabel):
-        z = twoqubit.ZCorrParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.0)
-        mat = z.matrix()
-        if relabel:  # X (x) X copy with a negative x
-            xx = np.kron(twoqubit.SX, twoqubit.SX)
-            mat = xx @ mat @ xx
-            mat[0, 3] = mat[3, 0] = -z.x
-        state_path = str(tmp_path / "zcorr.json")
-        ext_path = str(tmp_path / "ext.json")
-        io.save_state(state_path, states.BipartiteState(mat, 2, 2))
-        assert main(["extend", state_path, "-o", ext_path]) == EXIT_YES
-        assert "method: closed-form(zcorr-y0)" in capsys.readouterr().out
-        assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
+    def test_extend_zcorr_witness(self, tmp_path, capsys, monkeypatch, relabel):
+        searches = []
+        grid_search = twoqubit._zcorr_grid_search
+        monkeypatch.setattr(twoqubit, "_zcorr_grid_search", lambda z: searches.append(z) or grid_search(z))
+        for z, method in ((twoqubit.ZCorrParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.0), "zcorr-y0"),
+                          (twoqubit.ZCorrParams(0.4, 0.3, 0.1, 0.2, 0.15, 0.05), "zcorr-grid")):
+            mat = z.matrix()
+            if relabel:  # X (x) X copy with a negative x
+                xx = np.kron(twoqubit.SX, twoqubit.SX)
+                mat = xx @ mat @ xx
+                mat[0, 3] = mat[3, 0] = -z.x
+            rho = states.BipartiteState(mat, 2, 2)
+            searches.clear()
+            result = decide(rho, want_witness=True)
+            assert result.method == f"closed-form({method})"
+            assert states.is_symmetric_extension(result.witness, rho, tol=1e-7)
+            assert len(searches) == (1 if z.y else 0)
+            state_path = str(tmp_path / "zcorr.json")
+            ext_path = str(tmp_path / "ext.json")
+            io.save_state(state_path, rho)
+            assert main(["extend", state_path, "-o", ext_path]) == EXIT_YES
+            assert f"method: closed-form({method})" in capsys.readouterr().out
+            assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
 
     def test_extend_honours_symmetry(self, tmp_path, rng, capsys):
         # rank 2 with the spectrum condition, so a plain pure extension exists;
@@ -205,6 +221,15 @@ class TestChannelCommand:
         io.save_channel(path, Channel((np.eye(2, dtype=complex),), 2, 2))
         assert main(["channel", "classify", path]) == EXIT_YES
         assert "classification: degradable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("channel", [Channel((np.eye(2, dtype=complex),), 2, 2), amplitude_damping(1.0)],
+                             ids=["identity", "damping-1"])
+    def test_fermionic_one_dimensional_environment(self, tmp_path, capsys, channel):
+        # the complement's Choi state is 2x1, and no fermionic extension has d_b = 1
+        path = str(tmp_path / "chan.json")
+        io.save_channel(path, channel)
+        assert main(["channel", "classify", path, "--symmetry", "fermionic"]) == EXIT_YES
+        assert "classification: neither" in capsys.readouterr().out
 
     def test_choi_output(self, tmp_path):
         path = str(tmp_path / "damp.json")

@@ -5,6 +5,7 @@ from conftest import random_rank2_state, random_state, random_unitary, traced_sy
 from symext import gallery, linalg, states, twoqubit
 from symext.errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
 from symext.oracle import (
+    TWO_QUBIT_BAND,
     Feasibility,
     OracleOptions,
     bosonic_from_symmetric,
@@ -165,9 +166,11 @@ class TestBosonicFermionic:
 
     def test_fermionic_qubit_support_is_restrictive(self, rng):
         # with qubit B the only reachable reductions are M_A (x) I/2, and
-        # W = -(rho - M_A (x) I/2) certifies every other state
+        # W = -(rho - M_A (x) I/2) certifies every other state; with d_b = 1
+        # nothing is reachable and W = -rho certifies
         fermionic = OracleOptions(symmetry="fermionic")
-        for rho in (traced_symmetric_state(rng), random_state(3, 2, rng), random_state(4, 2, rng)):
+        for rho in (traced_symmetric_state(rng), random_state(3, 2, rng), random_state(4, 2, rng),
+                    random_state(2, 1, rng)):
             result = find_symmetric_extension(rho, fermionic)
             assert result.infeasible and result.stop_reason == "support"
             assert verify_infeasibility_certificate(result.certificate, rho, "fermionic")
@@ -245,9 +248,11 @@ class TestInfeasibilityCertificate:
 
 
 def test_decide_witness_rule(rng):
-    # gallery states plus 20 seeded two-qubit states of mixed rank
+    # gallery states, a Bell-diagonal state with both couplings nonzero, and
+    # 20 seeded two-qubit states of mixed rank
     samples = [gallery.two_qubit_with_ancilla(), gallery.qutrit_qubit(), gallery.qubit_qutrit(0.75),
-               gallery.werner(0.5), gallery.werner(0.8), fermionic_qutrit_example()[0]]
+               gallery.werner(0.5), gallery.werner(0.8), fermionic_qutrit_example()[0],
+               twoqubit.BellDiagonalParams(0.4, 0.3, 0.2, 0.1).state()]
     makers = (lambda: random_state(2, 2, rng), lambda: random_state(2, 2, rng, rank=1),
               lambda: random_rank2_state(rng), lambda: traced_symmetric_state(rng))
     samples += [makers[i % len(makers)]() for i in range(20)]
@@ -260,3 +265,26 @@ def test_decide_witness_rule(rng):
         for result in (plain, backed):
             if result.witness is not None:
                 assert is_symmetric_extension(result.witness, rho, tol=1e-7)
+
+
+def test_two_qubit_step_matches_oracle(rng):
+    for i in range(40):
+        rho = random_state(2, 2, rng, rank=3 + i % 2)
+        result = decide(rho)
+        assert result.method == "closed-form(two-qubit)" and result.proven
+        assert result.residual == twoqubit.conjecture_margin(rho)
+        checked = find_symmetric_extension(rho)
+        if checked.status is not Feasibility.UNDECIDED:
+            assert checked.status is result.status
+
+
+def test_two_qubit_band_goes_to_oracle(rng):
+    # Werner(2/3) sits on the boundary (margin ~1e-16); a local rotation takes
+    # it out of Z-correlated form, so only the oracle may decide it
+    u = linalg.tensor(random_unitary(2, rng), random_unitary(2, rng))
+    rho = BipartiteState(u @ gallery.werner(2.0 / 3.0).matrix @ u.conj().T, 2, 2)
+    assert twoqubit.zcorr_from_state(rho) is None
+    assert abs(twoqubit.conjecture_margin(rho)) <= TWO_QUBIT_BAND
+    result = decide(rho)
+    assert result.method == "oracle(any)"
+    assert result.feasible
