@@ -103,9 +103,8 @@ def cmd_check(args) -> int:
     if args.method == "auto":
         verdict = _verdict(decide(rho, opts))
     elif args.method == "conjecture":
-        margin = twoqubit.conjecture_margin(rho)
-        verdict = Verdict("symmetric extension", "yes" if margin >= -1e-10 else "no",
-                          "conjecture", False, residuals={"margin": margin})
+        verdict = Verdict("symmetric extension", "yes" if twoqubit.check_conjecture(rho) else "no",
+                          "conjecture", False, residuals={"margin": twoqubit.conjecture_margin(rho)})
     else:
         verdict = _verdict(find_symmetric_extension(rho, opts))
     verdict.emit(args.json)

@@ -52,6 +52,13 @@ CERTIFY_EVERY = 25
 # -CERTIFICATE_MARGIN * ||W||_F, mu being the shift that makes S(W (x) I) PSD.
 CERTIFICATE_MARGIN = 1e-9
 
+# The iteration gives up Undecided after MAX_ITERATIONS, or once the best
+# residual has improved by a relative amount below STALL_IMPROVEMENT over the
+# last STALL_WINDOW iterations.
+MAX_ITERATIONS = 50000
+STALL_WINDOW = 500
+STALL_IMPROVEMENT = 1e-7
+
 # Every witness a verdict rests on re-verifies at this tolerance.
 WITNESS_TOL = 1e-7
 
@@ -76,16 +83,12 @@ class OracleOptions:
     ends Feasible once the constraint residual drops to ``tol_feasible`` and
     the witness re-verifies, and Infeasible once a dual certificate verifies
     (checked every CERTIFY_EVERY iterations, margin CERTIFICATE_MARGIN).
-    It gives up Undecided when the residual has stopped improving (relative
-    change below ``stall_improvement`` across ``stall_window`` iterations)
-    or after ``max_iterations``.
+    It gives up Undecided when the residual has stopped improving (see
+    STALL_WINDOW and STALL_IMPROVEMENT) or after MAX_ITERATIONS.
     """
 
     symmetry: str = "any"
     tol_feasible: float = 1e-9
-    max_iterations: int = 50000
-    stall_window: int = 500
-    stall_improvement: float = 1e-7
 
     def __post_init__(self):
         if self.symmetry not in SYMMETRIES:
@@ -133,7 +136,6 @@ class _ExtensionGeometry:
 
     def __init__(self, d_a: int, d_b: int, symmetry: str):
         self.d_a, self.d_b, self.symmetry = d_a, d_b, symmetry
-        self.dim = d_a * d_b * d_b
         self.perm = linalg.swap_permutation(d_a, d_b)
         self._ix = np.ix_(self.perm, self.perm)
         if symmetry == "any":
@@ -151,26 +153,18 @@ class _ExtensionGeometry:
         half = 0.5 * (x + self.sign * x[self.perm, :])
         return 0.5 * (half + self.sign * half[:, self.perm])
 
-    def reduce_bprime(self, x: np.ndarray) -> np.ndarray:
-        dab, db = self.d_a * self.d_b, self.d_b
-        return np.einsum("aibi->ab", x.reshape(dab, db, dab, db))
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Partial trace over the last factor (B' of A B B', or B of A B)."""
+        n, db = x.shape[0] // self.d_b, self.d_b
+        return np.einsum("aibi->ab", x.reshape(n, db, n, db))
 
-    def _reduce_b(self, m: np.ndarray) -> np.ndarray:
-        return np.einsum("aibi->ab", m.reshape(self.d_a, self.d_b, self.d_a, self.d_b))
-
-    def _embed_b(self, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.d_a * self.d_b, self.d_a * self.d_b), dtype=np.complex128)
-        v = out.reshape(self.d_a, self.d_b, self.d_a, self.d_b)
-        for i in range(self.d_b):
-            v[:, i, :, i] = m / self.d_b
-        return out
-
-    def embed_bprime(self, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        v = out.reshape(self.d_a * self.d_b, self.d_b, self.d_a * self.d_b, self.d_b)
-        for i in range(self.d_b):
-            v[:, i, :, i] = m / self.d_b
-        return out
+    def embed(self, m: np.ndarray) -> np.ndarray:
+        """m (x) I/d_b, one factor larger (so reduce(embed(m)) = m)."""
+        n, db = m.shape[0], self.d_b
+        out = np.zeros((n, db, n, db), dtype=np.complex128)
+        diag = np.arange(db)
+        out[:, diag, :, diag] = m / db
+        return out.reshape(n * db, n * db)
 
     def unreachable_part(self, rho: np.ndarray) -> np.ndarray | None:
         """Component of rho outside the reachable reductions, or None.
@@ -181,9 +175,9 @@ class _ExtensionGeometry:
         qubit B (only M_A (x) I/2 is reachable) and with d_b = 1 (nothing is).
         """
         if abs(self.alpha) <= 1e-12:
-            return rho - self._embed_b(self._reduce_b(rho))
+            return rho - self.embed(self.reduce(rho))
         if abs(self.alpha + self.beta) <= 1e-12:
-            return self._embed_b(self._reduce_b(rho))
+            return self.embed(self.reduce(rho))
         return None
 
     def solve_constraint(self, r: np.ndarray) -> np.ndarray:
@@ -197,23 +191,23 @@ class _ExtensionGeometry:
             return r / self.beta
         if abs(self.alpha + self.beta) <= 1e-12:
             return r / self.alpha
-        er = self._embed_b(self._reduce_b(r))
+        er = self.embed(self.reduce(r))
         return r / self.alpha + (1.0 / (self.alpha + self.beta) - 1.0 / self.alpha) * er
 
     def project_affine(self, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {Y = S(Y), tr_B' Y = rho}."""
         sx = self.symmetrize(x)
-        r = rho - self.reduce_bprime(sx)
-        return sx + self.symmetrize(self.embed_bprime(self.solve_constraint(r)))
+        r = rho - self.reduce(sx)
+        return sx + self.symmetrize(self.embed(self.solve_constraint(r)))
 
     def dual_candidate(self, step: np.ndarray) -> np.ndarray:
         """Hermitian W = -C^-1(tr_B' S(step)) on AB from a DR step difference."""
-        w = -self.solve_constraint(self.reduce_bprime(self.symmetrize(step)))
+        w = -self.solve_constraint(self.reduce(self.symmetrize(step)))
         return 0.5 * (w + w.conj().T)
 
     def certificate_shift(self, w: np.ndarray) -> float:
         """Smallest mu >= 0 with S((W + mu I) (x) I_B') PSD."""
-        lam = np.linalg.eigvalsh(self.symmetrize(self.embed_bprime(w)))[0]
+        lam = np.linalg.eigvalsh(self.symmetrize(self.embed(w)))[0]
         return self.d_b * max(0.0, -float(lam))
 
     def shifted(self, w: np.ndarray) -> np.ndarray:
@@ -271,12 +265,12 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
                 method=f"oracle({opts.symmetry}-support)",
                 certificate=cert if certified else None, stop_reason="support", proven=certified)
 
-    z = geom.embed_bprime(target)
+    z = geom.embed(target)
     # The raw residual wobbles (it can bump up right before the final plunge
     # of a feasible run), so stall detection tracks the monotone running best.
     best_history: list[float] = []
     best = float("inf")
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         x = geom.project_affine(z, target)
         vals = np.linalg.eigvalsh(x)
         res = float(np.sqrt(np.sum(np.minimum(vals, 0.0) ** 2)))
@@ -293,13 +287,13 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
             if verify_infeasibility_certificate(cert, rho, opts.symmetry):
                 return FeasibilityResult(Feasibility.INFEASIBLE, None, best, it, method,
                                          certificate=cert, stop_reason="certified", proven=True)
-        if it > opts.stall_window:
-            old = best_history[it - 1 - opts.stall_window]
-            if old > 0.0 and (old - best) / old < opts.stall_improvement:
+        if it > STALL_WINDOW:
+            old = best_history[it - 1 - STALL_WINDOW]
+            if old > 0.0 and (old - best) / old < STALL_IMPROVEMENT:
                 return FeasibilityResult(Feasibility.UNDECIDED, None, best, it, method,
                                          stop_reason="stalled")
         z = z + psd - x
-    return FeasibilityResult(Feasibility.UNDECIDED, None, best, opts.max_iterations, method,
+    return FeasibilityResult(Feasibility.UNDECIDED, None, best, MAX_ITERATIONS, method,
                              stop_reason="iteration-cap")
 
 

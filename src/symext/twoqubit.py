@@ -1,10 +1,12 @@
 """Closed-form symmetric-extension machinery for two qubits and rank-2 states.
 
 Contents: the constructive pure extension for two-qubit states satisfying the
-spectrum condition, the purity/determinant extendibility test (proven by
-Chen, Ji, Kribs, Lutkenhaus and Zeng, PRA 90, 032318 (2014)), the rank-2
-criterion and its decomposition, Bell-diagonal inequalities, the Z-correlated
-family, and the extremality classification of pure-extendible states.
+spectrum condition (one null vector of a 4x4 real system), the
+purity/determinant extendibility test (proven by Chen, Ji, Kribs, Lutkenhaus
+and Zeng, PRA 90, 032318 (2014)), the rank-2 criterion and its split into two
+pure-extendible states (the roots of one quadratic), Bell-diagonal
+inequalities, the Z-correlated family, and the extremality classification of
+pure-extendible states.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from .errors import (
 from .states import (
     BipartiteState,
     TripartiteExtension,
-    _equal_margins_purification_vector,
     random_invertible_filter,
-    spectrum,
     spectrum_condition,
 )
 
@@ -38,9 +38,6 @@ I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-SGATE = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-PAULI = (SX, SY, SZ)
 
 # Bell basis order: (|00>+|11>), (|00>-|11>), (|01>+|10>), (|01>-|10>), all /sqrt(2).
 BELL = (
@@ -50,162 +47,42 @@ BELL = (
     np.array([0, 1, -1, 0], dtype=np.complex128) / np.sqrt(2.0),
 )
 
-# Local gate pairs sending each unordered pair of Bell states onto the first
-# two Bell states (up to phases).  Verified by test_bell_pair_gates.
-_SD = SGATE.conj().T
-BELL_PAIR_GATES = {
-    frozenset({0, 1}): (I2, I2),
-    frozenset({0, 2}): (HADAMARD, HADAMARD),
-    frozenset({1, 2}): (HADAMARD @ SGATE, HADAMARD @ SGATE),
-    frozenset({0, 3}): (HADAMARD @ SGATE, HADAMARD @ _SD),
-    frozenset({1, 3}): (HADAMARD @ SGATE @ SGATE, HADAMARD),
-    frozenset({2, 3}): (SX, I2),
-}
+# U = a0 I + i (a1 X + a2 Y + a3 Z) is in SU(2) for every real unit vector a.
+_SU2_BASIS = np.stack([I2, 1j * SX, 1j * SY, 1j * SZ])
 
 
 # ---------------------------------------------------------------------------
 # constructive pure extension (two qubits)
 # ---------------------------------------------------------------------------
 
-def _su2_from_so3(r: np.ndarray) -> np.ndarray:
-    """Lift a rotation matrix to SU(2) with u sigma_j u^dag = sum_i r[i,j] sigma_i.
-
-    Quaternion extraction with the usual branch selection for stability near
-    rotation angle pi.
-    """
-    t = float(np.trace(r))
-    if t > -0.5:
-        w = math.sqrt(max(1.0 + t, 0.0)) / 2.0
-        x = (r[2, 1] - r[1, 2]) / (4.0 * w)
-        y = (r[0, 2] - r[2, 0]) / (4.0 * w)
-        z = (r[1, 0] - r[0, 1]) / (4.0 * w)
-    else:
-        k = int(np.argmax(np.diag(r)))
-        if k == 0:
-            x = math.sqrt(max(1.0 + r[0, 0] - r[1, 1] - r[2, 2], 0.0)) / 2.0
-            w = (r[2, 1] - r[1, 2]) / (4.0 * x)
-            y = (r[0, 1] + r[1, 0]) / (4.0 * x)
-            z = (r[0, 2] + r[2, 0]) / (4.0 * x)
-        elif k == 1:
-            y = math.sqrt(max(1.0 - r[0, 0] + r[1, 1] - r[2, 2], 0.0)) / 2.0
-            w = (r[0, 2] - r[2, 0]) / (4.0 * y)
-            x = (r[0, 1] + r[1, 0]) / (4.0 * y)
-            z = (r[1, 2] + r[2, 1]) / (4.0 * y)
-        else:
-            z = math.sqrt(max(1.0 - r[0, 0] - r[1, 1] + r[2, 2], 0.0)) / 2.0
-            w = (r[1, 0] - r[0, 1]) / (4.0 * z)
-            x = (r[0, 2] + r[2, 0]) / (4.0 * z)
-            y = (r[1, 2] + r[2, 1]) / (4.0 * z)
-    return w * I2 - 1j * (x * SX + y * SY + z * SZ)
-
-
-def correlation_matrix(rho4: np.ndarray) -> np.ndarray:
-    """3x3 real matrix t[i,j] = tr(rho sigma_i (x) sigma_j) of a 2-qubit state."""
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = float(np.real(np.trace(rho4 @ np.kron(PAULI[i], PAULI[j]))))
-    return t
-
-
-def _bell_diagonalizing_unitaries(rho4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local unitaries (u, v) with (u (x) v) rho (u (x) v)^dag Bell-diagonal.
-
-    Valid for states with maximally mixed marginals: the real SVD of the
-    correlation matrix is forced into SO(3) (signs absorbed into the singular
-    values) and both factors are lifted to SU(2).
-    """
-    t = correlation_matrix(rho4)
-    left, _, right_t = np.linalg.svd(t)
-    right = right_t.T
-    left = left @ np.diag([1.0, 1.0, np.sign(np.linalg.det(left)) or 1.0])
-    right = right @ np.diag([1.0, 1.0, np.sign(np.linalg.det(right)) or 1.0])
-    return _su2_from_so3(left.T), _su2_from_so3(right.T)
-
-
-def _apply_bprime(psi8: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,abj->abi", gate, psi8.reshape(2, 2, 2)).reshape(-1)
-
-
-def _swap_vec(psi8: np.ndarray) -> np.ndarray:
-    return psi8.reshape(2, 2, 2).transpose(0, 2, 1).reshape(-1)
-
-
-def _extension_from_maximally_mixed(psi: np.ndarray) -> np.ndarray:
-    """Symmetrizing B' unitary via Bell diagonalization of tr_A |psi><psi|."""
-    rho_bb = linalg.partial_trace(np.outer(psi, psi.conj()), [2, 2, 2], keep=[1, 2])
-    u, v = _bell_diagonalizing_unitaries(rho_bb)
-    big = np.kron(u, v)
-    rho_bell = big @ rho_bb @ linalg.dagger(big)
-    weights = np.array([float(np.real(np.vdot(BELL[k], rho_bell @ BELL[k]))) for k in range(4)])
-    order = np.argsort(weights, kind="stable")[::-1]
-    w1, w2 = BELL_PAIR_GATES[frozenset({int(order[0]), int(order[1])})]
-    gate = linalg.dagger(w1 @ u) @ (w2 @ v)
-    return _apply_bprime(psi, gate)
-
-
-def _extension_from_generic(psi: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Symmetrizing B' phase gate in the eigenbasis of a non-degenerate rho_B."""
-    eig = linalg.hermitian_eig(rho_b)
-    basis = eig.eigenvectors
-    coeffs = np.einsum("abj,bB,jJ->aBJ", psi.reshape(2, 2, 2), basis.conj(), basis.conj())
-    amp_b, amp_c = coeffs[0, 0, 1], coeffs[0, 1, 0]
-    amp_f, amp_g = coeffs[1, 0, 1], coeffs[1, 1, 0]
-    # The two candidate phase differences coincide when all four amplitudes
-    # are nonzero; prefer the better-conditioned pair.
-    if min(abs(amp_b), abs(amp_c)) >= min(abs(amp_f), abs(amp_g)):
-        pair = (amp_b, amp_c)
-    else:
-        pair = (amp_f, amp_g)
-    if min(abs(pair[0]), abs(pair[1])) > 1e-10:
-        theta = float(np.angle(pair[1]) - np.angle(pair[0]))
-    else:
-        theta = 0.0
-    phase = np.diag([1.0, np.exp(1j * theta)]).astype(np.complex128)
-    gate = basis @ phase @ linalg.dagger(basis)
-    return _apply_bprime(psi, gate)
-
-
-def _candidate_residuals(psi: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    sym = float(np.linalg.norm(psi - _swap_vec(psi)))
-    red = linalg.trace_distance(
-        linalg.partial_trace(np.outer(psi, psi.conj()), [2, 2, 2], keep=[0, 1]), target)
-    return sym, red
-
-
 def construct_pure_extension(rho: BipartiteState) -> TripartiteExtension:
     """Pure symmetric extension of a two-qubit state with matching spectra.
 
-    Starts from the equal-margins purification and makes it swap-symmetric
-    with a unitary on B' alone: via Bell diagonalization of the BB' marginal
-    when rho_B is (nearly) maximally mixed, via a diagonal phase gate in the
-    rho_B eigenbasis otherwise.  Near the crossover both routes are computed
-    and the one with smaller residual wins.
+    Write rho = L L^dag with L (4x2) from the two largest eigenpairs.  Every
+    purification on a qubit B' is psi[a, b, b'] = (L U)[(a, b), b'] with U
+    unitary, and psi is swap-symmetric iff both 2x2 blocks L_a U are
+    symmetric matrices.  With U = a0 I + i (a1 X + a2 Y + a3 Z) the two
+    complex conditions (L_a U)[1, 0] = (L_a U)[0, 1] are four real linear
+    equations R a = 0.  The spectrum condition guarantees a pure symmetric
+    extension, which is of this form up to a global phase, so R is singular
+    and its last right singular vector gives U.
     """
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatch("pure-extension construction requires two qubits")
     if not spectrum_condition(rho):
         raise SpectrumMismatch("global and local spectra differ; no pure symmetric extension")
 
-    psi = _equal_margins_purification_vector(rho)
-    rho_b = rho.rho_b
-    gap = linalg.trace_norm(rho_b - I2 / 2.0)
-
-    candidates = []
-    if gap < 1e-5:
-        candidates.append(_extension_from_maximally_mixed(psi))
-    if gap > 1e-9:
-        candidates.append(_extension_from_generic(psi, rho_b))
-    # symmetrized copies mop up the last residual when a branch lands close
-    for vec in list(candidates):
-        fixed = vec + _swap_vec(vec)
-        norm = np.linalg.norm(fixed)
-        if norm > 1e-6:
-            candidates.append(fixed / norm)
-
-    target = np.asarray(rho.matrix)
-    best = min(candidates, key=lambda v: max(_candidate_residuals(v, target)))
-    return TripartiteExtension(np.outer(best, best.conj()), 2, 2, target)
+    eig = linalg.hermitian_eig(rho.matrix)
+    lam = eig.eigenvalues[:2]
+    # noise eigenvalues must go: sqrt(1e-16) would leave a 1e-8 column in L
+    lam = np.where(lam > linalg.ZERO_CUTOFF * lam[0], lam, 0.0)
+    left = eig.eigenvectors[:, :2] * np.sqrt(lam)
+    blocks = np.einsum("abk,jkc->jabc", left.reshape(2, 2, 2), _SU2_BASIS)
+    skew = blocks[:, :, 1, 0] - blocks[:, :, 0, 1]
+    coeffs = np.linalg.svd(np.vstack([skew.real.T, skew.imag.T]))[2][-1]
+    psi = (left @ np.tensordot(coeffs, _SU2_BASIS, 1)).reshape(-1)
+    psi /= np.linalg.norm(psi)
+    return TripartiteExtension(np.outer(psi, psi.conj()), 2, 2, rho.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +187,18 @@ def rank2_decompose(rho: BipartiteState) -> Rank2Decomposition:
     """Split a rank-2 two-qubit state satisfying the rank-2 condition into
     pure-extendible components along its eigenvector pencil.
 
-    Walks the family rho_p = (1-p) |psi0><psi0| + p |psi1><psi1| and bisects
-    for the two parameters where global and local maximum eigenvalues agree;
-    there the spectrum condition holds and the pure extension is constructed
-    directly.
+    On the family rho_p = (1-p) |psi0><psi0| + p |psi1><psi1| the spectrum
+    condition reads det rho_B(p) = p (1-p).  For a trace-one 2x2 matrix
+    det M = (1 - tr M^2) / 2, so with M_k = tr_A |psi_k><psi_k| and
+    D = M_1 - M_0 this is the quadratic
+    q0 + q1 p + q2 p^2 = 0,  q0 = (1 - ||M_0||^2) / 2,  q1 = -1 - tr(M_0 D),
+    q2 = 1 - ||D||^2 / 2.
+    It is >= 0 at p = 0 and p = 1 and <= 0 at p = lambda (the rank-2
+    condition), so its two roots bracket lambda; they are taken with the
+    cancellation-free formula.  When rho itself meets the condition
+    (lambda_max(rho_B) within 1e-13 of lambda_max(rho)) it is its own single
+    component with weight 0, and the other root (p = 1 for the Choi state of
+    amplitude damping at eta = 1/2) goes unused.
     """
     if rho.d_a != 2 or rho.d_b != 2:
         raise DimensionMismatch("rank2_decompose requires two qubits")
@@ -329,29 +214,19 @@ def rank2_decompose(rho: BipartiteState) -> Rank2Decomposition:
     proj0 = np.outer(psi0, psi0.conj())
     proj1 = np.outer(psi1, psi1.conj())
     marg0 = linalg.partial_trace(proj0, [2, 2], keep=[1])
-    marg1 = linalg.partial_trace(proj1, [2, 2], keep=[1])
+    diff = linalg.partial_trace(proj1, [2, 2], keep=[1]) - marg0
 
-    def gap(p: float) -> float:
-        lmax_b = float(np.linalg.eigvalsh((1.0 - p) * marg0 + p * marg1)[-1])
-        return lmax_b - max(p, 1.0 - p)
-
-    def bisect(lo: float, hi: float, increasing: bool) -> float:
-        # gap(lo) and gap(hi) bracket zero by construction
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            g = gap(mid)
-            if (g < 0.0) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    if gap(lam) <= 1e-13:
+    lmax_b = float(np.linalg.eigvalsh(marg0 + lam * diff)[-1])
+    if lmax_b - max(lam, 1.0 - lam) <= 1e-13:
         p0 = p1 = lam
         weight = 0.0
     else:
-        p0 = bisect(0.0, lam, increasing=True) if gap(0.0) < 0.0 else 0.0
-        p1 = bisect(lam, 1.0, increasing=False) if gap(1.0) < 0.0 else 1.0
+        q0 = (1.0 - linalg.frobenius(marg0) ** 2) / 2.0
+        q1 = -1.0 - float(np.vdot(marg0, diff).real)
+        q2 = 1.0 - linalg.frobenius(diff) ** 2 / 2.0
+        root = (math.sqrt(max(q1 * q1 - 4.0 * q0 * q2, 0.0)) - q1) / 2.0
+        p0 = min(max(q0 / root, 0.0), lam)
+        p1 = min(max(root / q2, lam), 1.0)
         weight = 0.0 if p1 == p0 else (lam - p0) / (p1 - p0)
 
     def pencil_state(p: float) -> BipartiteState:

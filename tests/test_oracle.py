@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_rank2_state, random_state, random_unitary, traced_symmetric_state
 
-from symext import gallery, linalg, states, twoqubit
+from symext import gallery, linalg, oracle, states, twoqubit
 from symext.errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
 from symext.oracle import (
     TWO_QUBIT_BAND,
@@ -204,7 +204,7 @@ class TestInfeasibilityCertificate:
                                       (qutrit, "bosonic", bosonic)):
             assert result.infeasible
             assert result.stop_reason == "certified"
-            assert result.iterations < OracleOptions().stall_window
+            assert result.iterations < oracle.STALL_WINDOW
             assert verify_infeasibility_certificate(result.certificate, rho, symmetry)
 
     def test_extendible_states_never_certified(self, rng):
@@ -234,15 +234,17 @@ class TestInfeasibilityCertificate:
         with pytest.raises(ValueError):
             verify_infeasibility_certificate(np.eye(4), bell_state, "anyonic")
 
-    def test_forced_stall_is_undecided(self, bell_state):
-        opts = OracleOptions(stall_window=2, stall_improvement=1.0)
-        result = find_symmetric_extension(bell_state, opts)
+    def test_forced_stall_is_undecided(self, bell_state, monkeypatch):
+        monkeypatch.setattr(oracle, "STALL_WINDOW", 2)
+        monkeypatch.setattr(oracle, "STALL_IMPROVEMENT", 1.0)
+        result = find_symmetric_extension(bell_state)
         assert result.status is Feasibility.UNDECIDED
         assert result.stop_reason == "stalled"
         assert result.certificate is None
 
-    def test_iteration_cap_is_undecided(self, bell_state):
-        result = find_symmetric_extension(bell_state, OracleOptions(max_iterations=10))
+    def test_iteration_cap_is_undecided(self, bell_state, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 10)
+        result = find_symmetric_extension(bell_state)
         assert result.status is Feasibility.UNDECIDED
         assert result.stop_reason == "iteration-cap"
 
@@ -288,3 +290,17 @@ def test_two_qubit_band_goes_to_oracle(rng):
     result = decide(rho)
     assert result.method == "oracle(any)"
     assert result.feasible
+
+
+def test_geometry_embed_and_reduce(rng):
+    # embed is m (x) I/d_b on either size (AB or A B B'); the slice-by-slice
+    # loop is the reference, and reduce undoes embed
+    for d_a, d_b in ((2, 2), (3, 2), (2, 3)):
+        geom = oracle._ExtensionGeometry(d_a, d_b, "any")
+        for n in (d_a, d_a * d_b):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            expected = np.zeros((n * d_b, n * d_b), dtype=np.complex128)
+            for i in range(d_b):
+                expected.reshape(n, d_b, n, d_b)[:, i, :, i] = m / d_b
+            assert np.array_equal(geom.embed(m), expected)
+            assert np.allclose(geom.reduce(geom.embed(m)), m, atol=1e-15)

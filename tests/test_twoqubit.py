@@ -8,7 +8,8 @@ from conftest import (
     traced_symmetric_state,
 )
 
-from symext import gallery, linalg, states, twoqubit
+from symext import channels, gallery, linalg, states, twoqubit
+from symext.cli import amplitude_damping
 from symext.errors import (
     ConditionUnsatisfied,
     DimensionMismatch,
@@ -21,23 +22,10 @@ from symext.errors import (
 from symext.states import BipartiteState, pure_state
 from symext.twoqubit import (
     BELL,
-    BELL_PAIR_GATES,
     BellDiagonalParams,
     PureExtendibleTag,
     ZCorrParams,
 )
-
-
-def test_bell_pair_gates():
-    # every unordered pair must land on the first two Bell states, up to phase
-    for pair, (w1, w2) in BELL_PAIR_GATES.items():
-        k1, k2 = sorted(pair)
-        big = np.kron(w1, w2)
-        v1, v2 = big @ BELL[k1], big @ BELL[k2]
-        overlaps = np.array([[abs(np.vdot(BELL[t], v)) for t in (0, 1)] for v in (v1, v2)])
-        direct = overlaps[0, 0] > 1 - 1e-12 and overlaps[1, 1] > 1 - 1e-12
-        crossed = overlaps[0, 1] > 1 - 1e-12 and overlaps[1, 0] > 1 - 1e-12
-        assert direct or crossed, pair
 
 
 class TestConstructPureExtension:
@@ -62,8 +50,10 @@ class TestConstructPureExtension:
             assert ext.symmetry_residual <= 1e-8
             assert ext.reduction_residual <= 1e-8
 
-    def test_maximally_mixed_marginal_branch(self, rng):
-        # states whose rho_B is exactly I/2 exercise the Bell-diagonalization route
+    def test_balanced_and_nearly_balanced_marginals(self, rng):
+        # rho_B = I/2 exactly (A entangled with two Bell states of BB'), then
+        # swap-symmetric nudges that put ||rho_B - I/2||_1 between 1e-3 and 1e-11
+        inputs = []
         for trial in range(40):
             ks = rng.choice(4, size=2, replace=False)
             if 3 in ks and ks[0] != ks[1]:
@@ -75,10 +65,25 @@ class TestConstructPureExtension:
             else:
                 chi = (np.sqrt(p) * np.kron(u[:, 0], BELL[ks[0]])
                        + np.sqrt(1 - p) * np.kron(u[:, 1], BELL[ks[1]]))
+            inputs.append(chi)
+        for scale in np.logspace(-3, -11, 40):
+            ks = rng.choice(3, size=2, replace=False)
+            u = random_unitary(2, rng)
+            p = rng.uniform(0, 1)
+            chi = (np.sqrt(p) * np.kron(u[:, 0], BELL[ks[0]])
+                   + np.sqrt(1 - p) * np.kron(u[:, 1], BELL[ks[1]])
+                   + scale * random_symmetric_vector(rng))
+            inputs.append(chi / np.linalg.norm(chi))
+        gaps = []
+        for chi in inputs:
             mat = linalg.partial_trace(np.outer(chi, chi.conj()), [2, 2, 2], keep=[0, 1])
             rho = BipartiteState(mat, 2, 2)
+            gaps.append(linalg.trace_norm(rho.rho_b - np.eye(2) / 2))
             ext = twoqubit.construct_pure_extension(rho)
             assert max(ext.symmetry_residual, ext.reduction_residual) <= 1e-8
+            assert linalg.numerical_rank(ext.matrix) == 1
+        assert max(gaps[:40]) < 1e-14
+        assert min(gaps[40:]) < 1e-10 and max(gaps[40:]) > 1e-4
 
     def test_requires_spectrum_condition(self, bell_state):
         with pytest.raises(SpectrumMismatch):
@@ -162,6 +167,14 @@ class TestRank2:
         if states.spectrum_condition(rho):
             dec = twoqubit.rank2_decompose(rho)
             assert dec.p0 == pytest.approx(dec.p1)
+        # the Choi state of amplitude damping at 1/2 meets the spectrum
+        # condition itself; the other root of the quadratic is p = 1
+        choi = channels.choi_state(amplitude_damping(0.5)).state
+        dec = twoqubit.rank2_decompose(choi)
+        lam = float(linalg.hermitian_eig(choi.matrix).eigenvalues[1])
+        assert dec.p0 == dec.p1 == lam
+        assert dec.weight == 0.0
+        assert states.is_symmetric_extension(dec.mixed_extension(choi), choi, tol=1e-12)
 
     def test_decompose_classical_mixture(self):
         rho = BipartiteState(np.diag([0.5, 0, 0, 0.5]).astype(complex), 2, 2)
