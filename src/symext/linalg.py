@@ -166,6 +166,20 @@ def swap_permutation(d_a: int, d_b: int) -> np.ndarray:
     return np.ascontiguousarray(idx.transpose(0, 2, 1)).reshape(-1)
 
 
+def parity_projection(x: np.ndarray, perm: np.ndarray, parity: int) -> np.ndarray:
+    """Project ``x`` onto a parity sector of the swap P given by ``perm``.
+
+    Parity 0 keeps the swap-invariant part (x + PxP)/2; parity +1 or -1 gives
+    Pi x Pi with Pi = (I +- P)/2, the compression to the symmetric or
+    antisymmetric subspace.  The result is exactly invariant, in floating
+    point, under the swap it projects for.
+    """
+    if parity == 0:
+        return 0.5 * (x + x.take(perm, 0).take(perm, 1))
+    half = 0.5 * (x + parity * x.take(perm, 0))
+    return 0.5 * (half + parity * half.take(perm, 1))
+
+
 def trace_norm(m: ComplexMatrix) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     a = as_matrix(m)

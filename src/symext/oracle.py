@@ -4,15 +4,18 @@ The decision problem "does rho_AB admit a (swap-invariant) extension to
 A (x) B (x) B'?" is a semidefinite feasibility problem: find a PSD matrix in
 the affine set of Hermitian operators that are swap-symmetric (or supported
 on the symmetric/antisymmetric subspace) and reduce to rho_AB.  It is solved
-with Douglas-Rachford reflections between the PSD cone and the affine set;
-the affine projection has a closed form for all three symmetry modes.
+with Douglas-Rachford reflections between the PSD cone and the affine set.
+The three modes differ only in the parity sectors of the B <-> B' swap that
+S (the projection of the mode, :func:`linalg.parity_projection`) keeps, and
+the constraint operator C = tr_B' o S o ( . (x) I/d_b) has one closed-form
+pseudo-inverse C^+ for all of them.  The iteration starts at
+S(rho (x) I/d_b) and its iterates stay in the range of S.
 
 Feasibility is certified by an explicit witness that is independently
 re-verified.  Infeasibility is certified by a dual witness: a Hermitian W on
 AB, built from the Douglas-Rachford step difference (which converges to the
 minimal displacement vector on inconsistent problems), with
-S(W (x) I_B') >= 0 and tr(W rho) < 0, where S is the projection of the
-symmetry mode.  Any extension sigma would give
+S(W (x) I_B') >= 0 and tr(W rho) < 0.  Any extension sigma would give
 tr(W rho) = tr(S(W (x) I_B') sigma) >= 0, so such a W rules one out; the
 check has a margin of CERTIFICATE_MARGIN * ||W||_F and is re-run from scratch
 by :func:`verify_infeasibility_certificate`.  A run that stalls or hits the
@@ -36,7 +39,6 @@ from .states import (
     TripartiteExtension,
     coherent_information,
     is_symmetric_extension,
-    spectral_symmetric_decomposition,
     spectrum_condition,
 )
 
@@ -132,26 +134,21 @@ class FeasibilityResult:
 
 
 class _ExtensionGeometry:
-    """Projections for one (d_a, d_b, symmetry) problem instance."""
+    """Projections for one (d_a, d_b, symmetry) problem instance.
+
+    S is the projection of the symmetry mode: the swap-invariant part in mode
+    "any" (parity 0), the symmetric or antisymmetric sector otherwise.
+    """
 
     def __init__(self, d_a: int, d_b: int, symmetry: str):
-        self.d_a, self.d_b, self.symmetry = d_a, d_b, symmetry
+        self.d_a, self.d_b = d_a, d_b
         self.perm = linalg.swap_permutation(d_a, d_b)
-        self._ix = np.ix_(self.perm, self.perm)
-        if symmetry == "any":
-            self.sign = 0.0
-            self.alpha, self.beta = 0.5, 0.5
-        else:
-            self.sign = 1.0 if symmetry == "bosonic" else -1.0
-            self.alpha = (1.0 + self.sign * 2.0 / d_b) / 4.0
-            self.beta = 0.25
-
-    def symmetrize(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the symmetry subspace of matrices."""
-        if self.symmetry == "any":
-            return 0.5 * (x + x[self._ix])
-        half = 0.5 * (x + self.sign * x[self.perm, :])
-        return 0.5 * (half + self.sign * half[:, self.perm])
+        self.parity = {"any": 0, "bosonic": 1, "fermionic": -1}[symmetry]
+        # C = c0 (Id - E) + c1 E, summed over the parity sectors S allows.
+        parities = (1, -1) if self.parity == 0 else (self.parity,)
+        c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in parities)
+        self.inv0, self.inv1 = (0.0 if abs(c) <= 1e-12 else 1.0 / c
+                                for c in (c0, c0 + len(parities) / 4.0))
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the last factor (B' of A B B', or B of A B)."""
@@ -166,48 +163,43 @@ class _ExtensionGeometry:
         out[:, diag, :, diag] = m / db
         return out.reshape(n * db, n * db)
 
-    def unreachable_part(self, rho: np.ndarray) -> np.ndarray | None:
-        """Component of rho outside the reachable reductions, or None.
+    def lift(self, m: np.ndarray) -> np.ndarray:
+        """S(m (x) I/d_b); C is reduce o lift."""
+        return linalg.parity_projection(self.embed(m), self.perm, self.parity)
 
-        C = alpha (Id - E) + (alpha + beta) E (see :meth:`solve_constraint`),
-        so alpha = 0 leaves range(Id - E) unreachable and alpha + beta = 0
-        leaves range(E) unreachable.  This happens for fermionic symmetry with
-        qubit B (only M_A (x) I/2 is reachable) and with d_b = 1 (nothing is).
-        """
-        if abs(self.alpha) <= 1e-12:
-            return rho - self.embed(self.reduce(rho))
-        if abs(self.alpha + self.beta) <= 1e-12:
-            return self.embed(self.reduce(rho))
-        return None
+    def _spectral(self, r: np.ndarray, f0: float, f1: float) -> np.ndarray:
+        """f0 (Id - E) r + f1 E r, with E(m) = (tr_B m) (x) I_B/d_b."""
+        return f0 * r + (f1 - f0) * self.embed(self.reduce(r))
 
     def solve_constraint(self, r: np.ndarray) -> np.ndarray:
-        """Apply C^-1 (on its range, where every argument lies, when C is singular).
+        """Apply the pseudo-inverse C^+ of the constraint operator C = reduce o lift.
 
-        The constraint operator C = tr_B' o S o ( . (x) I/d_b ) equals
-        alpha*Id + beta*E with E(m) = (tr_B m) (x) I_B/d_b an orthogonal
-        projector, so its inverse is available in closed form.
+        C = c0 (Id - E) + c1 E with E an orthogonal projector, so C^+ inverts
+        each nonzero coefficient and keeps zero ones at zero.
         """
-        if abs(self.alpha) <= 1e-12:
-            return r / self.beta
-        if abs(self.alpha + self.beta) <= 1e-12:
-            return r / self.alpha
-        er = self.embed(self.reduce(r))
-        return r / self.alpha + (1.0 / (self.alpha + self.beta) - 1.0 / self.alpha) * er
+        return self._spectral(r, self.inv0, self.inv1)
+
+    def unreachable_part(self, rho: np.ndarray) -> np.ndarray:
+        """rho - C C^+ rho, the component of rho that nothing in the range of S reduces to.
+
+        It is nonzero only for fermionic symmetry with qubit B (c0 = 0: only
+        M_A (x) I/2 is reachable) and with d_b = 1 (c1 = 0: nothing is).
+        """
+        return self._spectral(rho, float(self.inv0 == 0.0), float(self.inv1 == 0.0))
 
     def project_affine(self, x: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {Y = S(Y), tr_B' Y = rho}."""
-        sx = self.symmetrize(x)
-        r = rho - self.reduce(sx)
-        return sx + self.symmetrize(self.embed(self.solve_constraint(r)))
+        sx = linalg.parity_projection(x, self.perm, self.parity)
+        return sx + self.lift(self.solve_constraint(rho - self.reduce(sx)))
 
     def dual_candidate(self, step: np.ndarray) -> np.ndarray:
-        """Hermitian W = -C^-1(tr_B' S(step)) on AB from a DR step difference."""
-        w = -self.solve_constraint(self.reduce(self.symmetrize(step)))
+        """Hermitian W = -C^+(tr_B' step) on AB from a DR step difference in the range of S."""
+        w = -self.solve_constraint(self.reduce(step))
         return 0.5 * (w + w.conj().T)
 
     def certificate_shift(self, w: np.ndarray) -> float:
         """Smallest mu >= 0 with S((W + mu I) (x) I_B') PSD."""
-        lam = np.linalg.eigvalsh(self.symmetrize(self.embed(w)))[0]
+        lam = np.linalg.eigvalsh(self.lift(w))[0]
         return self.d_b * max(0.0, -float(lam))
 
     def shifted(self, w: np.ndarray) -> np.ndarray:
@@ -252,20 +244,21 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
     target = np.asarray(rho.matrix)
     method = f"oracle({opts.symmetry})"
     unreachable = geom.unreachable_part(target)
-    if unreachable is not None:
-        bad = linalg.frobenius(unreachable)
-        if bad > 1e-10:
-            # No Hermitian operator with the required support reduces to rho,
-            # PSD or not.  S(W (x) I) vanishes for W = -unreachable, whose
-            # trace against rho is -bad**2.
-            cert = geom.shifted(-unreachable)
-            certified = verify_infeasibility_certificate(cert, rho, opts.symmetry)
-            return FeasibilityResult(
-                Feasibility.INFEASIBLE if certified else Feasibility.UNDECIDED, None, bad, 0,
-                method=f"oracle({opts.symmetry}-support)",
-                certificate=cert if certified else None, stop_reason="support", proven=certified)
+    bad = linalg.frobenius(unreachable)
+    if bad > 1e-10:
+        # No Hermitian operator with the required support reduces to rho, PSD
+        # or not.  S(W (x) I) vanishes for W = -(rho - C C^+ rho), whose
+        # trace against rho is -bad**2.
+        cert = geom.shifted(-unreachable)
+        certified = verify_infeasibility_certificate(cert, rho, opts.symmetry)
+        return FeasibilityResult(
+            Feasibility.INFEASIBLE if certified else Feasibility.UNDECIDED, None, bad, 0,
+            method=f"oracle({opts.symmetry}-support)",
+            certificate=cert if certified else None, stop_reason="support", proven=certified)
 
-    z = geom.embed(target)
+    # Starting in the range of S keeps every iterate there: the PSD part of an
+    # S-invariant matrix is S-invariant.
+    z = geom.lift(target)
     # The raw residual wobbles (it can bump up right before the final plunge
     # of a feasible run), so stall detection tracks the monotone running best.
     best_history: list[float] = []
@@ -414,27 +407,22 @@ def _backed(result: FeasibilityResult, rho: BipartiteState) -> bool:
 def bosonic_from_symmetric(sigma: TripartiteExtension, tol: float = 1e-8) -> TripartiteExtension:
     """Convert a symmetric extension with qubit B, B' into a bosonic one.
 
-    Antisymmetric eigenvectors of a swap-symmetric state on A (x) C2 (x) C2
-    factor through the singlet; replacing the singlet with the |01>+|10>
-    triplet state preserves the reduction to AB while moving all support to
-    the symmetric subspace.
+    The antisymmetric subspace of C2 (x) C2 is the singlet, so a
+    swap-symmetric state is Pi+ sigma Pi+ + tau_A (x) |singlet><singlet| with
+    tau_A = <singlet| sigma |singlet>.  Replacing the singlet by the
+    |01>+|10> triplet keeps the reduction to AB and moves all support to the
+    symmetric subspace.
     """
     if sigma.d_b != 2:
         raise WrongDimension("bosonic conversion requires B and B' to be qubits")
     if sigma.symmetry_residual > tol:
         raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds {tol}")
-    d_a = sigma.d_a
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
-    triplet = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
-
-    out = np.zeros((sigma.dim, sigma.dim), dtype=np.complex128)
-    for weight, vec, parity in spectral_symmetric_decomposition(sigma):
-        if parity > 0:
-            out += weight * np.outer(vec, vec.conj())
-        else:
-            a_part = vec.reshape(d_a, 4) @ singlet.conj()
-            replaced = np.kron(a_part, triplet)
-            out += weight * np.outer(replaced, replaced.conj())
+    mat = np.asarray(sigma.matrix)
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    triplet = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    tau = np.einsum("i,aibj,j->ab", singlet, mat.reshape(sigma.d_a, 4, sigma.d_a, 4), singlet)
+    out = (linalg.parity_projection(mat, linalg.swap_permutation(sigma.d_a, 2), 1)
+           + np.kron(tau, np.outer(triplet, triplet)))
     return TripartiteExtension(out, sigma.d_a, sigma.d_b, sigma.target_matrix)
 
 

@@ -251,38 +251,20 @@ def spectral_symmetric_decomposition(sigma: TripartiteExtension, tol: float = 1e
     """Eigendecomposition of a swap-symmetric state into definite-parity terms.
 
     Returns a list of (weight, vector, parity) with parity +1 or -1 such that
-    P|v> = parity * |v> within 1e-8.  Within a degenerate eigenvalue cluster
-    the eigenvectors are re-diagonalized against the swap operator, so the
-    output does not depend on which basis the eigensolver picked.
+    P|v> = parity * |v> within 1e-8.  A swap-symmetric sigma is the sum of its
+    two parity parts Pi+ sigma Pi+ and Pi- sigma Pi-, so each part is
+    eigendecomposed on its own; weights at or below ZERO_CUTOFF * lambda_max
+    are dropped.
     """
     if sigma.symmetry_residual > tol:
         raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds {tol}")
-    eig = linalg.hermitian_eig(sigma.matrix)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
-    perm = linalg.swap_permutation(sigma.d_a, sigma.d_b)
-
-    top = float(vals.max(initial=0.0))
-    cutoff = linalg.ZERO_CUTOFF * top
-    terms = []
-    i = 0
-    n = vals.size
-    while i < n:
-        j = i + 1
-        while j < n and abs(vals[j] - vals[i]) < 1e-9:
-            j += 1
-        if vals[i] > cutoff:
-            block = vecs[:, i:j]
-            # Swap restricted to the eigenspace: Hermitian up to noise that a
-            # small spectral gap can amplify, so hermitize before splitting.
-            swap_block = linalg.dagger(block) @ block[perm, :]
-            swap_block = (swap_block + linalg.dagger(swap_block)) / 2.0
-            sub_vals, sub_vecs = np.linalg.eigh(swap_block)
-            rotated = block @ sub_vecs
-            for k in range(j - i):
-                parity = 1 if sub_vals[k] > 0 else -1
-                terms.append((float(vals[i + k]), rotated[:, k], parity))
-        i = j
-    return terms
+    mat, perm = np.asarray(sigma.matrix), linalg.swap_permutation(sigma.d_a, sigma.d_b)
+    # eigh, not hermitian_eig: a near-zero parity part fails its relative
+    # Hermiticity check.
+    parts = [(parity, *np.linalg.eigh(linalg.parity_projection(mat, perm, parity))) for parity in (1, -1)]
+    cutoff = linalg.ZERO_CUTOFF * max(float(vals[-1]) for _, vals, _ in parts)
+    return [(float(vals[k]), vecs[:, k], parity)
+            for parity, vals, vecs in parts for k in range(vals.size) if vals[k] > cutoff]
 
 
 def _equal_margins_purification_vector(rho: BipartiteState) -> np.ndarray:

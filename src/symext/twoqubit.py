@@ -316,18 +316,6 @@ def bell_conjecture_form(params: BellDiagonalParams) -> bool:
     return bell_conjecture_margin(params) >= -1e-10
 
 
-def bell_diagonal_from_state(state: BipartiteState, tol: float = 1e-10) -> BellDiagonalParams | None:
-    """Bell weights if the state is diagonal in the Bell basis, else None."""
-    if state.d_a != 2 or state.d_b != 2:
-        return None
-    basis = np.stack([BELL[0], BELL[2], BELL[3], BELL[1]], axis=1)
-    in_bell = linalg.dagger(basis) @ state.matrix @ basis
-    if np.max(np.abs(in_bell - np.diag(np.diag(in_bell)))) > tol:
-        return None
-    d = np.real(np.diag(in_bell))
-    return BellDiagonalParams(p_i=float(d[0]), p_x=float(d[1]), p_y=float(d[2]), p_z=float(d[3]))
-
-
 @dataclass(frozen=True)
 class BellEquivalenceReport:
     samples: int
@@ -407,6 +395,15 @@ def _zcorr_h(s, t, p2, p3):
         + np.sqrt(np.clip(t, 0.0, None)) * np.sqrt(np.clip(p3 - s, 0.0, None))
 
 
+def _zcorr_y0(p1: float, p2: float, p3: float, p4: float) -> tuple[float, float, float]:
+    """(bound, s, t) for y = 0: the largest admissible x and an (s, t) attaining it."""
+    if p3 >= p4:
+        return math.sqrt(max(p1 * p4, 0.0)), p4, 0.0
+    if p1 * p3 + p2 * p4 >= p1 * p4:
+        return math.sqrt(max(p1 * p4, 0.0)), p3, 0.0 if p4 <= 1e-15 else p1 * (p4 - p3) / p4
+    return math.sqrt(max(p3 * (p1 - p2), 0.0)) + math.sqrt(max(p2 * (p4 - p3), 0.0)), p3, p2
+
+
 def zcorr_bound_y0(p1: float, p2: float, p3: float, p4: float) -> float:
     """Largest x compatible with a symmetric extension when y = 0.
 
@@ -415,9 +412,7 @@ def zcorr_bound_y0(p1: float, p2: float, p3: float, p4: float) -> float:
     """
     if p1 < max(p2, p3, p4) - 1e-12:
         raise NotCanonical("p1 must be the largest diagonal entry")
-    if p3 >= p4 or p1 * p3 + p2 * p4 >= p1 * p4:
-        return math.sqrt(max(p1 * p4, 0.0))
-    return math.sqrt(max(p3 * (p1 - p2), 0.0)) + math.sqrt(max(p2 * (p4 - p3), 0.0))
+    return _zcorr_y0(p1, p2, p3, p4)[0]
 
 
 def _zcorr_grid_search(z: ZCorrParams, grid: int = 200, refinements: int = 3):
@@ -456,16 +451,8 @@ def zcorr_feasible_point(z: ZCorrParams) -> tuple[float, float] | None:
     if z.x <= 1e-12 and z.y <= 1e-12:
         return (0.0, 0.0)
     if z.y <= 1e-12:
-        if z.x > zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4) + 1e-9:
-            return None
-        if z.p3 >= z.p4:
-            s, t = z.p4, 0.0
-        elif z.p1 * z.p3 + z.p2 * z.p4 >= z.p1 * z.p4:
-            s = z.p3
-            t = 0.0 if z.p4 <= 1e-15 else z.p1 * (z.p4 - z.p3) / z.p4
-        else:
-            s, t = z.p3, z.p2
-        return (float(s), float(min(t, z.p2)))
+        bound, s, t = _zcorr_y0(z.p1, z.p2, z.p3, z.p4)
+        return None if z.x > bound + 1e-9 else (float(s), float(min(t, z.p2)))
     margin, s, t = _zcorr_grid_search(z)
     return (s, t) if margin >= -1e-9 else None
 

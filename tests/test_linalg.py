@@ -146,6 +146,24 @@ def test_swap_permutation_matches_operator(rng):
     assert np.allclose(p @ g @ p, g[np.ix_(perm, perm)])
 
 
+def test_parity_projection_matches_operator(rng):
+    # parity 0 is (g + PgP)/2, parity +-1 is Pi g Pi with Pi = (I +- P)/2, and
+    # each result is exactly invariant under the swap it projects for
+    d_a, d_b = 2, 3
+    p = linalg.tensor(np.eye(d_a), linalg.swap_operator(d_b))
+    perm = linalg.swap_permutation(d_a, d_b)
+    g = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+    assert np.allclose(linalg.parity_projection(g, perm, 0), (g + p @ g @ p) / 2)
+    assert np.array_equal(linalg.parity_projection(g, perm, 0)[np.ix_(perm, perm)],
+                          linalg.parity_projection(g, perm, 0))
+    for parity in (1, -1):
+        pi = (np.eye(18) + parity * p) / 2
+        out = linalg.parity_projection(g, perm, parity)
+        assert np.allclose(out, pi @ g @ pi)
+        assert np.array_equal(out[perm, :], parity * out)
+        assert np.array_equal(out[:, perm], parity * out)
+
+
 def test_trace_norm_values():
     assert abs(linalg.trace_norm(np.diag([0.5, -0.5])) - 1.0) < 1e-14
     assert abs(linalg.trace_norm(np.diag([1.0, -1.0])) - 2.0) < 1e-14

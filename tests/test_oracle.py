@@ -294,13 +294,43 @@ def test_two_qubit_band_goes_to_oracle(rng):
 
 def test_geometry_embed_and_reduce(rng):
     # embed is m (x) I/d_b on either size (AB or A B B'); the slice-by-slice
-    # loop is the reference, and reduce undoes embed
-    for d_a, d_b in ((2, 2), (3, 2), (2, 3)):
-        geom = oracle._ExtensionGeometry(d_a, d_b, "any")
-        for n in (d_a, d_a * d_b):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            expected = np.zeros((n * d_b, n * d_b), dtype=np.complex128)
-            for i in range(d_b):
-                expected.reshape(n, d_b, n, d_b)[:, i, :, i] = m / d_b
-            assert np.array_equal(geom.embed(m), expected)
-            assert np.allclose(geom.reduce(geom.embed(m)), m, atol=1e-15)
+    # loop is the reference, and reduce undoes embed.  C = reduce o lift and
+    # its pseudo-inverse split every r into C C^+ r plus the unreachable part,
+    # which is nonzero only for fermionic symmetry with d_b <= 2.
+    for symmetry in oracle.SYMMETRIES:
+        for d_a, d_b in ((2, 1), (2, 2), (3, 2), (2, 3)):
+            geom = oracle._ExtensionGeometry(d_a, d_b, symmetry)
+            for n in (d_a, d_a * d_b):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                expected = np.zeros((n * d_b, n * d_b), dtype=np.complex128)
+                for i in range(d_b):
+                    expected.reshape(n, d_b, n, d_b)[:, i, :, i] = m / d_b
+                assert np.array_equal(geom.embed(m), expected)
+                assert np.allclose(geom.reduce(geom.embed(m)), m, atol=1e-15)
+            g = rng.standard_normal((d_a * d_b,) * 2) + 1j * rng.standard_normal((d_a * d_b,) * 2)
+            r = g + g.conj().T
+            reached = geom.reduce(geom.lift(geom.solve_constraint(r)))
+            unreachable = geom.unreachable_part(r)
+            assert np.allclose(reached + unreachable, r, atol=1e-12)
+            if symmetry == "fermionic" and d_b <= 2:
+                assert linalg.frobenius(unreachable) > 1e-3
+            else:
+                assert not unreachable.any()
+
+
+def test_undecided_criterion_7_draws_now_feasible():
+    # rank-3 draws of acceptance criterion 7 with positive conjecture margin;
+    # started outside the symmetry subspace, the iteration stalls on them
+    # just above tol_feasible
+    rng = np.random.default_rng(707)
+    draws = {}
+    for i in range(1807):
+        rank = int(rng.integers(1, 5))
+        rho = random_state(2, 2, rng, rank=rank)
+        if i in (176, 1132, 1189, 1806):
+            draws[i] = rho
+    for i, rho in draws.items():
+        assert twoqubit.conjecture_margin(rho) > 1e-4, i
+        result = find_symmetric_extension(rho)
+        assert result.feasible, (i, result.stop_reason)
+        assert is_symmetric_extension(result.witness, rho, tol=oracle.WITNESS_TOL)

@@ -234,7 +234,6 @@ class TestBellDiagonal:
         probs = rng.dirichlet([1, 1, 1, 1])
         params = BellDiagonalParams(*probs)
         state = params.state()
-        assert twoqubit.bell_diagonal_from_state(state) is not None
         assert twoqubit.check_conjecture(state) == twoqubit.bell_conjecture_form(params)
 
     def test_equivalence_check(self):
