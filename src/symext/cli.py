@@ -100,13 +100,7 @@ def _verdict(result: FeasibilityResult) -> Verdict:
 def cmd_check(args) -> int:
     rho = io.load_state(args.file)
     opts = _oracle_options(args)
-    if args.method == "auto":
-        verdict = _verdict(decide(rho, opts))
-    elif args.method == "conjecture":
-        verdict = Verdict("symmetric extension", "yes" if twoqubit.check_conjecture(rho) else "no",
-                          "conjecture", False, residuals={"margin": twoqubit.conjecture_margin(rho)})
-    else:
-        verdict = _verdict(find_symmetric_extension(rho, opts))
+    verdict = _verdict(decide(rho, opts) if args.method == "auto" else find_symmetric_extension(rho, opts))
     verdict.emit(args.json)
     return verdict.exit_code()
 
@@ -143,23 +137,14 @@ def cmd_verify_extension(args) -> int:
 
 def cmd_channel(args) -> int:
     channel = io.load_channel(args.kraus_file)
-    if args.action == "choi":
-        choi = choi_state(channel)
+    if args.action != "classify":
+        payload = (io.state_payload(choi_state(channel).state) if args.action == "choi"
+                   else io.channel_payload(complementary_channel(channel)))
         if args.output:
-            io.save_state(args.output, choi.state)
-            print(f"choi: {args.output}")
+            io.write_json(args.output, payload)
+            print(f"{args.action}: {args.output}")
         else:
-            print(json.dumps({"dims": [choi.d_in, choi.d_out],
-                              "matrix": io.matrix_to_json(choi.state.matrix)}))
-        return EXIT_YES
-    if args.action == "complement":
-        comp = complementary_channel(channel)
-        if args.output:
-            io.save_channel(args.output, comp)
-            print(f"complement: {args.output}")
-        else:
-            print(json.dumps({"d_in": comp.d_in, "d_out": comp.d_out,
-                              "kraus": [io.matrix_to_json(k) for k in comp.kraus]}))
+            print(json.dumps(payload))
         return EXIT_YES
 
     opts = _oracle_options(args)
@@ -279,6 +264,13 @@ def amplitude_damping(eta: float) -> Channel:
     return Channel((k0, k1), 2, 2)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symext",
@@ -293,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide symmetric extendibility of a state file")
     p_check.add_argument("file")
-    p_check.add_argument("--method", choices=["auto", "conjecture", "oracle"],
-                         default="auto")
+    p_check.add_argument("--method", choices=["auto", "oracle"], default="auto")
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -321,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gal.add_argument("name", choices=sorted(gallery.ENTRIES))
     p_gal.add_argument("--s", type=float, default=0.75)
     p_gal.add_argument("--p", type=float, default=0.5)
-    p_gal.add_argument("--steps", type=int, default=21)
+    p_gal.add_argument("--steps", type=_count, default=21)
     p_gal.add_argument("--csv", default=None)
     p_gal.set_defaults(func=cmd_gallery)
 
     p_scan = sub.add_parser("scan", help="parameter sweeps emitting CSV")
     p_scan.add_argument("family", choices=["werner", "bell", "zcorr", "amplitude-damping"])
-    p_scan.add_argument("--steps", type=int, default=50)
-    p_scan.add_argument("--samples", type=int, default=200)
+    p_scan.add_argument("--steps", type=_count, default=50)
+    p_scan.add_argument("--samples", type=_count, default=200)
     p_scan.add_argument("--csv", default=None)
     p_scan.add_argument("--seed", type=int, default=7)
     p_scan.set_defaults(func=cmd_scan)
@@ -339,9 +330,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except io.FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except SymextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg, states, twoqubit
 from .errors import OutOfRange
-from .oracle import OracleOptions, find_symmetric_extension, fermionic_qutrit_example
+from .oracle import find_symmetric_extension, fermionic_qutrit_example
 from .states import BipartiteState
 
 
@@ -159,7 +159,7 @@ def entry_fermionic_qutrit() -> GalleryEntry:
         state=rho, extendible="yes", findings=findings)
 
 
-def entry_werner(steps: int = 21, opts: OracleOptions | None = None) -> GalleryEntry:
+def entry_werner(steps: int = 21) -> GalleryEntry:
     threshold = werner_threshold()
     findings = [("closed-form threshold", f"{threshold:.9f}")]
     for p in np.linspace(0.0, 1.0, steps):
@@ -167,7 +167,7 @@ def entry_werner(steps: int = 21, opts: OracleOptions | None = None) -> GalleryE
         conj_verdict = twoqubit.check_conjecture(werner(float(p)))
         findings.append((f"p={p:.3f}", f"closed-form={bell_verdict} conjecture={conj_verdict}"))
     mid = werner(0.5)
-    oracle_mid = find_symmetric_extension(mid, opts)
+    oracle_mid = find_symmetric_extension(mid)
     findings.append(("oracle at p=0.5", oracle_mid.status.value))
     return GalleryEntry(
         name="werner",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from typing import IO, Iterable
 
 import numpy as np
@@ -38,9 +39,10 @@ def matrix_from_json(data, where: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != out.shape[1]:
             raise FileFormatError(f"{where}[{i}]: ragged row")
         for j, pair in enumerate(row):
+            # bool is an int subclass; NaN, Infinity and huge ints fail the bound
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)):
-                raise FileFormatError(f"{where}[{i}][{j}]: expected [re, im]")
+                    or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)):
+                raise FileFormatError(f"{where}[{i}][{j}]: expected [re, im] of finite numbers")
             out[i, j] = complex(pair[0], pair[1])
     return out
 
@@ -61,7 +63,7 @@ def _load_json(path: str) -> dict:
 def load_state(path: str) -> BipartiteState:
     data = _load_json(path)
     dims = data.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 2 and all(isinstance(d, int) for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 2 and all(type(d) is int for d in dims)):
         raise FileFormatError(f"{path}: 'dims' must be two integers for a bipartite state")
     matrix = matrix_from_json(data.get("matrix"), f"{path}: matrix")
     try:
@@ -73,7 +75,7 @@ def load_state(path: str) -> BipartiteState:
 def load_extension(path: str, target: BipartiteState) -> TripartiteExtension:
     data = _load_json(path)
     dims = data.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)):
         raise FileFormatError(f"{path}: 'dims' must be three integers for an extension")
     if dims[1] != dims[2]:
         raise FileFormatError(f"{path}: extension needs d_B = d_B', got {dims[1]} and {dims[2]}")
@@ -84,24 +86,10 @@ def load_extension(path: str, target: BipartiteState) -> TripartiteExtension:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_state(path: str, rho: BipartiteState) -> None:
-    payload = {"dims": [rho.d_a, rho.d_b], "matrix": matrix_to_json(rho.matrix)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def save_extension(path: str, sigma: TripartiteExtension) -> None:
-    payload = {"dims": [sigma.d_a, sigma.d_b, sigma.d_b], "matrix": matrix_to_json(sigma.matrix)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 def load_channel(path: str) -> Channel:
     data = _load_json(path)
     d_in, d_out = data.get("d_in"), data.get("d_out")
-    if not isinstance(d_in, int) or not isinstance(d_out, int):
+    if type(d_in) is not int or type(d_out) is not int:
         raise FileFormatError(f"{path}: 'd_in' and 'd_out' must be integers")
     kraus_data = data.get("kraus")
     if not isinstance(kraus_data, list) or not kraus_data:
@@ -113,15 +101,35 @@ def load_channel(path: str) -> Channel:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_channel(path: str, channel: Channel) -> None:
-    payload = {
-        "d_in": channel.d_in,
-        "d_out": channel.d_out,
-        "kraus": [matrix_to_json(k) for k in channel.kraus],
-    }
+def state_payload(rho: BipartiteState) -> dict:
+    return {"dims": [rho.d_a, rho.d_b], "matrix": matrix_to_json(rho.matrix)}
+
+
+def extension_payload(sigma: TripartiteExtension) -> dict:
+    return {"dims": [sigma.d_a, sigma.d_b, sigma.d_b], "matrix": matrix_to_json(sigma.matrix)}
+
+
+def channel_payload(channel: Channel) -> dict:
+    return {"d_in": channel.d_in, "d_out": channel.d_out,
+            "kraus": [matrix_to_json(k) for k in channel.kraus]}
+
+
+def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
+
+
+def save_state(path: str, rho: BipartiteState) -> None:
+    write_json(path, state_payload(rho))
+
+
+def save_extension(path: str, sigma: TripartiteExtension) -> None:
+    write_json(path, extension_payload(sigma))
+
+
+def save_channel(path: str, channel: Channel) -> None:
+    write_json(path, channel_payload(channel))
 
 
 def format_real(x: float) -> str:

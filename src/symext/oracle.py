@@ -27,7 +27,7 @@ iteration cap without either certificate comes back Undecided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -328,18 +328,18 @@ def _coherent_information_step(rho: BipartiteState, want_witness: bool) -> Feasi
 
 
 def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
-    """Rank 2: the maximum-eigenvalue test, necessary always and sufficient for qubit A."""
+    """Rank 2: ``twoqubit.rank2_condition``, exact for qubit A; for larger A only
+    its "no" is proven, and may come with the state's own margin >= 0."""
     if rho.rank() != 2:
         return None
-    margin = _lambda_max_margin(rho)
-    if not twoqubit._rank_le2_necessary_ok(np.asarray(rho.matrix), rho.d_a, rho.d_b):
-        return _closed_form(False, "rank2", margin)
-    if rho.d_a != 2:
+    ok = twoqubit.rank2_condition(rho)
+    if ok and rho.d_a != 2:
         return None
-    if want_witness and rho.d_b == 2:
+    margin = _lambda_max_margin(rho)
+    if ok and want_witness and rho.d_b == 2:
         return _closed_form(True, "rank2-decomposition", margin,
                             twoqubit.rank2_decompose(rho).mixed_extension(rho))
-    return _closed_form(True, "rank2", margin)
+    return _closed_form(ok, "rank2", margin)
 
 
 def _zcorr_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
@@ -376,22 +376,25 @@ def _two_qubit_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResul
 
 def decide(rho: BipartiteState, opts: OracleOptions | None = None,
            want_witness: bool = False) -> FeasibilityResult:
-    """Decide whether ``rho`` has a symmetric extension.
+    """Decide whether ``rho`` has an extension of the requested symmetry.
 
-    In mode "any" the first closed form that applies decides, in this order:
-    pure state, positive coherent information, rank 2, Z-correlated (y = 0),
-    two qubits (the purity/determinant condition proven by Chen et al., PRA
-    90, 032318 (2014), when |margin| > TWO_QUBIT_BAND).  Other modes, and
-    states no closed form decides, go to :func:`find_symmetric_extension`.
-    With ``want_witness`` a closed-form "yes" counts only with a witness that
-    re-verifies at WITNESS_TOL (y > 0 Z-correlated states get one from the
-    grid search) and a "no" only when proven; otherwise the next step runs.
+    The first closed form that applies decides: pure state, positive coherent
+    information, rank 2, Z-correlated (y = 0), two qubits (Chen et al., PRA 90,
+    032318 (2014), when |margin| > TWO_QUBIT_BAND).  A closed-form "no" holds
+    in every mode; a "yes" in mode "any", and in mode "bosonic" with qubit B
+    after :func:`bosonic_from_symmetric`.  Any other "yes", and a state no
+    closed form decides, goes to :func:`find_symmetric_extension`.  With
+    ``want_witness`` a "yes" counts only with a witness that re-verifies at
+    WITNESS_TOL and a "no" only when proven; otherwise the next step runs.
     """
     opts = opts or OracleOptions()
-    steps = (_pure_step, _coherent_information_step, _rank2_step, _zcorr_step,
-             _two_qubit_step) if opts.symmetry == "any" else ()
-    for step in steps:
+    for step in (_pure_step, _coherent_information_step, _rank2_step, _zcorr_step, _two_qubit_step):
         result = step(rho, want_witness)
+        if result is not None and result.feasible and opts.symmetry != "any":
+            if (opts.symmetry, rho.d_b) != ("bosonic", 2):
+                break
+            if result.witness is not None:
+                result = replace(result, witness=bosonic_from_symmetric(result.witness))
         if result is not None and (not want_witness or _backed(result, rho)):
             return result
     return find_symmetric_extension(rho, opts)

@@ -249,7 +249,8 @@ class TestInfeasibilityCertificate:
         assert result.stop_reason == "iteration-cap"
 
 
-def test_decide_witness_rule(rng):
+@pytest.mark.parametrize("symmetry", ["any", "bosonic", "fermionic"])
+def test_decide_witness_rule(rng, symmetry):
     # gallery states, a Bell-diagonal state with both couplings nonzero, and
     # 20 seeded two-qubit states of mixed rank
     samples = [gallery.two_qubit_with_ancilla(), gallery.qutrit_qubit(), gallery.qubit_qutrit(0.75),
@@ -258,15 +259,27 @@ def test_decide_witness_rule(rng):
     makers = (lambda: random_state(2, 2, rng), lambda: random_state(2, 2, rng, rank=1),
               lambda: random_rank2_state(rng), lambda: traced_symmetric_state(rng))
     samples += [makers[i % len(makers)]() for i in range(20)]
+    opts = OracleOptions(symmetry=symmetry)
     for rho in samples:
-        plain, backed = decide(rho), decide(rho, want_witness=True)
+        plain, backed = decide(rho, opts), decide(rho, opts, want_witness=True)
         if Feasibility.UNDECIDED not in (plain.status, backed.status):
             assert plain.status is backed.status
-        assert backed.witness is not None or not backed.feasible
-        assert backed.proven or not backed.infeasible
+        oracle_status = find_symmetric_extension(rho, opts).status
         for result in (plain, backed):
+            if Feasibility.UNDECIDED not in (result.status, oracle_status):
+                assert result.status is oracle_status
+            if result.infeasible and symmetry != "any" and result.method.startswith("closed-form"):
+                assert result.proven
             if result.witness is not None:
                 assert is_symmetric_extension(result.witness, rho, tol=1e-7)
+                if symmetry == "bosonic":
+                    perm = linalg.swap_permutation(rho.d_a, rho.d_b)
+                    assert not np.any(linalg.parity_projection(result.witness.matrix, perm, -1))
+        if symmetry == "bosonic" and rho.d_b == 2:
+            # every qubit-B sample here reaches a closed form, and its verdict carries over
+            assert plain.proven
+        assert backed.witness is not None or not backed.feasible
+        assert backed.proven or not backed.infeasible
 
 
 def test_two_qubit_step_matches_oracle(rng):
