@@ -21,8 +21,6 @@ from .errors import InvalidChannel, NotAChoiState, NotAnExtension
 from .oracle import Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
 from .states import BipartiteState, TripartiteExtension, is_symmetric_extension
 
-KRAUS_RANK_CUTOFF = 1e-9
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -50,12 +48,8 @@ class Channel:
 
     def environment_dim(self) -> int:
         """Rank of the Kraus Gram matrix: the minimal Stinespring environment."""
-        gram = np.array([[np.trace(linalg.dagger(a) @ b) for b in self.kraus] for a in self.kraus])
-        vals = np.linalg.eigvalsh((gram + linalg.dagger(gram)) / 2.0)
-        top = float(vals.max(initial=0.0))
-        if top <= 0.0:
-            return 0
-        return int(np.sum(vals > KRAUS_RANK_CUTOFF * top))
+        return linalg.numerical_rank(np.array([[np.trace(linalg.dagger(a) @ b) for b in self.kraus]
+                                               for a in self.kraus]))
 
 
 @dataclass(frozen=True)
@@ -88,34 +82,28 @@ def choi_state(channel: Channel) -> ChoiState:
     return ChoiState(BipartiteState(mat / d, d, channel.d_out))
 
 
+def _stinespring(choi: ChoiState) -> np.ndarray:
+    """T[i, b, m] = K_m[b, i] for the minimal Kraus family K_m = sqrt(d_in lam_m) v_m,
+    (lam_m, v_m) running over the support of the Choi state: i is the input,
+    b the output and m the environment index of a minimal Stinespring dilation."""
+    lam, vecs = linalg.support(choi.state.matrix)
+    return (vecs * np.sqrt(lam * choi.d_in)).reshape(choi.d_in, choi.d_out, lam.size)
+
+
 def kraus_from_choi(choi: ChoiState) -> Channel:
     """Minimal Kraus family recovering the channel from its Choi state."""
-    eig = linalg.hermitian_eig(choi.state.matrix)
-    top = float(eig.eigenvalues.max(initial=0.0))
-    kraus = []
-    for val, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if val <= KRAUS_RANK_CUTOFF * top:
-            continue
-        kraus.append(np.sqrt(val * choi.d_in) * vec.reshape(choi.d_in, choi.d_out).T)
-    return Channel(tuple(kraus), d_in=choi.d_in, d_out=choi.d_out)
-
-
-def minimal_kraus(channel: Channel) -> Channel:
-    """Linearly independent Kraus family for the same map."""
-    return kraus_from_choi(choi_state(channel))
+    t = _stinespring(choi)
+    return Channel(tuple(t[:, :, m].T for m in range(t.shape[2])), d_in=choi.d_in, d_out=choi.d_out)
 
 
 def complementary_channel(channel: Channel) -> Channel:
     """Channel to the environment of a minimal Stinespring dilation.
 
-    With minimal Kraus operators K_m, the complementary Kraus family is the
-    re-slicing L_b[m, i] = K_m[b, i]; the result is unique up to a unitary on
-    the environment output.
+    Its Kraus operators re-slice the minimal family K_m as L_b[m, i] = K_m[b, i];
+    the result is unique up to a unitary on the environment output.
     """
-    minimal = minimal_kraus(channel)
-    stack = np.stack(minimal.kraus)  # (env, d_out, d_in)
-    kraus = tuple(np.ascontiguousarray(stack[:, b, :]) for b in range(channel.d_out))
-    return Channel(kraus, d_in=channel.d_in, d_out=len(minimal.kraus))
+    t = _stinespring(choi_state(channel))
+    return Channel(tuple(t[:, b, :].T for b in range(channel.d_out)), d_in=channel.d_in, d_out=t.shape[2])
 
 
 def is_anti_degradable(channel: Channel, opts: OracleOptions | None = None) -> FeasibilityResult:
@@ -191,37 +179,21 @@ def degrading_map_from_extension(channel: Channel, sigma: TripartiteExtension) -
         raise NotAnExtension("sigma does not verify as an extension of the Choi state")
     d_in, d_out = channel.d_in, channel.d_out
 
-    eig = linalg.hermitian_eig(sigma.matrix)
-    top = float(eig.eigenvalues.max(initial=0.0))
-    keep = [i for i, v in enumerate(eig.eigenvalues) if v > linalg.ZERO_CUTOFF * top]
-    r_dim = len(keep)
-    # purification |psi> on A (x) B (x) B' (x) R
-    psi = np.zeros(sigma.dim * r_dim, dtype=np.complex128)
-    for slot, idx in enumerate(keep):
-        contrib = np.sqrt(eig.eigenvalues[idx]) * eig.eigenvectors[:, idx]
-        psi += np.kron(contrib, np.eye(r_dim, dtype=np.complex128)[slot])
+    # purification psi[i, b, (b', r)] = sqrt(lam_r) v_r[i, b, b'] from the support of
+    # sigma: sqrt(d_in) psi is a Stinespring isometry with environment B' (x) R
+    lam, vecs = linalg.support(sigma.matrix)
+    psi = (vecs * np.sqrt(lam)).reshape(d_in, d_out, d_out * lam.size)
+    t = _stinespring(choi)
+    e_min = t.shape[2]
 
-    # psi as a Stinespring isometry of the channel: W[(b, b', r), i] = sqrt(d) psi[(i, b, b', r)]
-    env_dim = d_out * r_dim
-    big = psi.reshape(d_in, d_out, d_out * r_dim)
-    w_psi = np.sqrt(d_in) * big.transpose(1, 2, 0).reshape(d_out * env_dim, d_in)
-
-    minimal = minimal_kraus(channel)
-    e_min = len(minimal.kraus)
-    w_min = np.zeros((d_out * e_min, d_in), dtype=np.complex128)
-    for m, k in enumerate(minimal.kraus):
-        w_min.reshape(d_out, e_min, d_in)[:, m, :] = k
-
-    # isometry V with (I (x) V) w_min = w_psi, solved in least squares and checked
-    lhs = w_min.reshape(d_out, e_min, d_in).transpose(0, 2, 1).reshape(d_out * d_in, e_min)
-    rhs = w_psi.reshape(d_out, env_dim, d_in).transpose(0, 2, 1).reshape(d_out * d_in, env_dim)
-    v_t, residuals, _, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    v = v_t.T  # env_dim x e_min
+    # isometry V with sum_m V[(b', r), m] T[i, b, m] = sqrt(d_in) psi[i, b, (b', r)],
+    # solved in least squares over the rows (b, i) and checked
+    lhs = t.transpose(1, 0, 2).reshape(d_out * d_in, e_min)
+    rhs = np.sqrt(d_in) * psi.transpose(1, 0, 2).reshape(d_out * d_in, -1)
+    v_t = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     if np.max(np.abs(lhs @ v_t - rhs)) > 1e-6:
         raise NotAnExtension("extension is inconsistent with the channel's dilation")
 
-    # degrading map = embed environment into B' (x) R via V, then trace R
-    kraus = tuple((np.eye(d_out * r_dim, dtype=np.complex128)
-                   .reshape(d_out, r_dim, d_out * r_dim)[:, r, :] @ v)
-                  for r in range(r_dim))
-    return Channel(kraus, d_in=e_min, d_out=d_out)
+    # degrading map = embed the environment into B' (x) R through V, then trace R
+    v = v_t.T.reshape(d_out, lam.size, e_min)
+    return Channel(tuple(v[:, r, :] for r in range(lam.size)), d_in=e_min, d_out=d_out)

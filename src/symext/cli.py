@@ -182,7 +182,7 @@ def cmd_gallery(args) -> int:
     for key, value in entry.findings:
         print(f"{key}: {value}")
     if args.name == "werner" and args.csv:
-        with open(args.csv, "w") as fh:
+        with io.open_output(args.csv) as fh:
             io.write_csv(fh, ["p", "conjecture", "oracle", "threshold"],
                          _werner_rows(args.steps))
         print(f"csv: {args.csv}")
@@ -200,7 +200,7 @@ def _werner_rows(steps: int):
 
 
 def cmd_scan(args) -> int:
-    stream = open(args.csv, "w") if args.csv else sys.stdout
+    stream = io.open_output(args.csv) if args.csv else sys.stdout
     try:
         if args.family == "werner":
             rows = []

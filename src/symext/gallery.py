@@ -127,6 +127,8 @@ def entry_qutrit_qubit() -> GalleryEntry:
 
 
 def entry_qubit_qutrit(s: float = 0.75, p: float = 0.5) -> GalleryEntry:
+    if not 0.0 <= p < np.inf:  # the filter diag(sqrt(p), 1) needs a finite p >= 0
+        raise OutOfRange(f"p={p} must be finite and >= 0")
     rho = qubit_qutrit(s)
     findings = [("spectrum condition", str(states.spectrum_condition(rho)))]
     filt = states.apply_filter_A(rho, np.diag([np.sqrt(p), 1.0])).normalized()

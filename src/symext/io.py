@@ -19,7 +19,7 @@ from .states import BipartiteState, TripartiteExtension
 
 
 class FileFormatError(SymextError):
-    """Raised with a path-anchored message when a file fails to parse."""
+    """Raised with a path-anchored message when a file cannot be read, parsed or written."""
 
 
 def _entry_to_pair(z: complex) -> list[float]:
@@ -31,7 +31,7 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data, where: str) -> np.ndarray:
-    if not isinstance(data, list) or not data:
+    if not isinstance(data, list) or not data or not isinstance(data[0], list):
         raise FileFormatError(f"{where}: expected a non-empty list of rows")
     n = len(data)
     out = np.zeros((n, len(data[0])), dtype=np.complex128)
@@ -114,8 +114,16 @@ def channel_payload(channel: Channel) -> dict:
             "kraus": [matrix_to_json(k) for k in channel.kraus]}
 
 
+def open_output(path: str) -> IO[str]:
+    """Open ``path`` for writing; an unwritable path raises FileFormatError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAState, NotHermitian
 
-# Eigenvalues below ZERO_CUTOFF * lambda_max count as exact zeros when a
-# spectrum or an entropy is extracted.
+# The zero cut: eigenvalues at or below ZERO_CUTOFF * lambda_max count as
+# exact zeros wherever a spectrum, rank, entropy or support is read off.
 ZERO_CUTOFF = 1e-9
 
 # Default relative Frobenius tolerance for "is Hermitian" checks.
@@ -222,29 +222,39 @@ def validate_state(rho: ComplexMatrix, name: str = "matrix",
     return a
 
 
+def above_cut(values: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above the zero cut, ZERO_CUTOFF * max(lambda_max, 0).
+
+    Tiny negatives fall below it, and a spectrum with lambda_max <= 0 keeps nothing.
+    """
+    return values > ZERO_CUTOFF * values.max(initial=0.0)
+
+
+def support(m: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs above the zero cut, eigenvalues non-increasing.
+
+    Returns (lam, vecs) with the eigenvectors as columns, so
+    ``(vecs * lam) @ vecs.conj().T`` is ``m`` without its cut part and
+    ``vecs * sqrt(lam)`` is a square-root factor of it.  Raises NotHermitian
+    like :func:`hermitian_eig`.
+    """
+    eig = hermitian_eig(m)
+    keep = above_cut(eig.eigenvalues)
+    return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
+
+
 def von_neumann_entropy(rho: ComplexMatrix) -> float:
-    """Entropy -sum(lam * log2 lam) over eigenvalues above the zero cutoff, in bits."""
+    """Entropy -sum(lam * log2 lam) over eigenvalues above the zero cut, in bits."""
     a = validate_state(rho, "entropy input")
-    vals = np.linalg.eigvalsh((a + dagger(a)) / 2.0)
-    top = float(vals.max())
-    if top <= 0.0:
-        return 0.0
-    lam = vals[vals > ZERO_CUTOFF * top]
+    lam = np.ascontiguousarray(nonzero_eigenvalues(a)[::-1])  # smallest terms first
     return float(-np.sum(lam * np.log2(lam)))
 
 
 def nonzero_eigenvalues(m: ComplexMatrix) -> np.ndarray:
-    """Eigenvalues of a PSD-up-to-noise matrix above the relative zero cutoff.
-
-    Returned non-increasing; entries below ZERO_CUTOFF * lambda_max (and any
-    tiny negatives) count as zero and are dropped.
-    """
+    """Eigenvalues of a PSD-up-to-noise matrix above the zero cut, non-increasing."""
     a = as_matrix(m)
     vals = np.linalg.eigvalsh((a + dagger(a)) / 2.0)[::-1]
-    top = float(vals.max(initial=0.0))
-    if top <= 0.0:
-        return np.zeros(0)
-    return np.ascontiguousarray(vals[vals > ZERO_CUTOFF * top])
+    return vals[above_cut(vals)]
 
 
 def numerical_rank(m: ComplexMatrix) -> int:

@@ -108,8 +108,11 @@ class FeasibilityResult:
     Infeasible one.  ``proven``: the verdict rests on a theorem (such as the
     two-qubit condition, Chen et al., PRA 90, 032318 (2014)) or a verified
     certificate, not on the grid search or an oracle "yes".  ``residual`` is
-    the oracle's best constraint residual, or a closed form's margin (>= 0 on
-    the extendible side).  ``stop_reason`` says why the oracle stopped:
+    the oracle's best constraint residual, or a closed form's margin: < 0 on
+    every closed-form "no", and >= 0 on the extendible side up to the rounding
+    tolerance the closed form reads it with (1e-9 for rank 2 and both
+    Z-correlated forms, spectra matching to 1e-8), so a "yes" may print a
+    margin such as -2.2e-16.  ``stop_reason`` says why the oracle stopped:
     "converged", "certified", "stalled", "iteration-cap", "support" (the
     state is outside the reductions the symmetry mode can reach) or
     "witness-rejected"; it is None for closed-form verdicts.
@@ -328,18 +331,20 @@ def _coherent_information_step(rho: BipartiteState, want_witness: bool) -> Feasi
 
 
 def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
-    """Rank 2: ``twoqubit.rank2_condition``, exact for qubit A; for larger A only
-    its "no" is proven, and may come with the state's own margin >= 0."""
+    """Rank 2: ``twoqubit.rank2_violation``, exact for qubit A; for larger A only
+    a violation is proven, and its margin is that of the state that failed."""
     if rho.rank() != 2:
         return None
-    ok = twoqubit.rank2_condition(rho)
-    if ok and rho.d_a != 2:
+    violation = twoqubit.rank2_violation(rho)
+    if violation is not None:
+        return _closed_form(False, "rank2", violation)
+    if rho.d_a != 2:
         return None
     margin = _lambda_max_margin(rho)
-    if ok and want_witness and rho.d_b == 2:
+    if want_witness and rho.d_b == 2:
         return _closed_form(True, "rank2-decomposition", margin,
                             twoqubit.rank2_decompose(rho).mixed_extension(rho))
-    return _closed_form(ok, "rank2", margin)
+    return _closed_form(True, "rank2", margin)
 
 
 def _zcorr_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:

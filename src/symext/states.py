@@ -253,18 +253,18 @@ def spectral_symmetric_decomposition(sigma: TripartiteExtension, tol: float = 1e
     Returns a list of (weight, vector, parity) with parity +1 or -1 such that
     P|v> = parity * |v> within 1e-8.  A swap-symmetric sigma is the sum of its
     two parity parts Pi+ sigma Pi+ and Pi- sigma Pi-, so each part is
-    eigendecomposed on its own; weights at or below ZERO_CUTOFF * lambda_max
-    are dropped.
+    eigendecomposed on its own; weights at or below the zero cut of sigma
+    (:func:`linalg.above_cut`) are dropped.
     """
     if sigma.symmetry_residual > tol:
         raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds {tol}")
     mat, perm = np.asarray(sigma.matrix), linalg.swap_permutation(sigma.d_a, sigma.d_b)
     # eigh, not hermitian_eig: a near-zero parity part fails its relative
-    # Hermiticity check.
-    parts = [(parity, *np.linalg.eigh(linalg.parity_projection(mat, perm, parity))) for parity in (1, -1)]
-    cutoff = linalg.ZERO_CUTOFF * max(float(vals[-1]) for _, vals, _ in parts)
-    return [(float(vals[k]), vecs[:, k], parity)
-            for parity, vals, vecs in parts for k in range(vals.size) if vals[k] > cutoff]
+    # Hermiticity check.  The cut is relative to lambda_max of all of sigma.
+    vals, vecs = zip(*(np.linalg.eigh(linalg.parity_projection(mat, perm, parity)) for parity in (1, -1)))
+    keep = linalg.above_cut(np.concatenate(vals)).reshape(2, -1)
+    return [(float(vals[p][k]), vecs[p][:, k], parity)
+            for p, parity in enumerate((1, -1)) for k in np.flatnonzero(keep[p])]
 
 
 def _equal_margins_purification_vector(rho: BipartiteState) -> np.ndarray:
@@ -276,19 +276,9 @@ def _equal_margins_purification_vector(rho: BipartiteState) -> np.ndarray:
     """
     if not spectrum_condition(rho):
         raise SpectrumMismatch("global and local spectra differ; no equal-margins purification")
-    eig_ab = linalg.hermitian_eig(rho.matrix)
-    eig_b = linalg.hermitian_eig(rho.rho_b)
-    lam = eig_ab.eigenvalues
-    top = float(lam.max(initial=0.0))
-    cutoff = linalg.ZERO_CUTOFF * top
-    dim = rho.dim * rho.d_b
-    psi = np.zeros(dim, dtype=np.complex128)
-    for j in range(lam.size):
-        if lam[j] <= cutoff:
-            continue
-        phi = eig_ab.eigenvectors[:, j]
-        b = eig_b.eigenvectors[:, j]
-        psi += np.sqrt(lam[j]) * np.kron(phi, b)
+    lam, phi = linalg.support(rho.matrix)
+    local = linalg.hermitian_eig(rho.rho_b).eigenvectors[:, :lam.size]
+    psi = ((phi * np.sqrt(lam)) @ local.T).reshape(-1)
     return psi / np.linalg.norm(psi)
 
 

@@ -72,11 +72,11 @@ def construct_pure_extension(rho: BipartiteState) -> TripartiteExtension:
     if not spectrum_condition(rho):
         raise SpectrumMismatch("global and local spectra differ; no pure symmetric extension")
 
-    eig = linalg.hermitian_eig(rho.matrix)
-    lam = eig.eigenvalues[:2]
     # noise eigenvalues must go: sqrt(1e-16) would leave a 1e-8 column in L
-    lam = np.where(lam > linalg.ZERO_CUTOFF * lam[0], lam, 0.0)
-    left = eig.eigenvectors[:, :2] * np.sqrt(lam)
+    lam, vecs = linalg.support(rho.matrix)
+    rank = min(lam.size, 2)
+    left = np.zeros((4, 2), dtype=np.complex128)
+    left[:, :rank] = vecs[:, :rank] * np.sqrt(lam[:rank])
     blocks = np.einsum("abk,jkc->jabc", left.reshape(2, 2, 2), _SU2_BASIS)
     skew = blocks[:, :, 1, 0] - blocks[:, :, 0, 1]
     coeffs = np.linalg.svd(np.vstack([skew.real.T, skew.imag.T]))[2][-1]
@@ -112,38 +112,31 @@ def check_conjecture(rho: BipartiteState) -> bool:
 # rank-2 states
 # ---------------------------------------------------------------------------
 
-def _rank_le2_necessary_ok(mat: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9) -> bool:
+def _rank_le2_violation(mat: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9) -> float | None:
     """Necessary conditions for a rank<=2 state to have a symmetric extension:
-    rank(rho_B) <= 2 and lambda_max(rho_AB) <= lambda_max(rho_B)."""
-    rho_b = linalg.partial_trace(mat, [d_a, d_b], keep=[1])
-    if linalg.numerical_rank(rho_b) > 2:
-        return False
-    lmax_ab = float(linalg.nonzero_eigenvalues(mat)[0])
-    lmax_b = float(linalg.nonzero_eigenvalues(rho_b)[0])
-    return lmax_ab <= lmax_b + tol
+    rank(rho_B) <= 2 and lambda_max(rho_AB) <= lambda_max(rho_B).  None when
+    both hold, else a negative margin: -lambda_3(rho_B) when the rank fails,
+    lambda_max(rho_B) - lambda_max(rho_AB) otherwise."""
+    lam_b = linalg.nonzero_eigenvalues(linalg.partial_trace(mat, [d_a, d_b], keep=[1]))
+    if lam_b.size > 2:
+        return -float(lam_b[2])
+    lmax_ab, lmax_b = float(linalg.nonzero_eigenvalues(mat)[0]), float(lam_b[0])
+    return lmax_b - lmax_ab if lmax_ab > lmax_b + tol else None
 
 
-def rank2_condition(rho: BipartiteState, probe_trials: int = 32, seed: int = 20) -> bool:
-    """Extendibility of a rank-2 state via the maximum-eigenvalue comparison.
+RANK2_FILTER_PROBES = 32
+RANK2_PROBE_SEED = 20
 
-    For qubit A the verdict is exact: the state has a symmetric extension iff
-    rank(rho_B) <= 2 and lambda_max(rho_AB) <= lambda_max(rho_B).  For larger
-    A only the "no" direction is conclusive; the necessary condition is then
-    also probed under invertible Alice filters and under tracings of tensor
-    factors of A (both preserve extendibility), so a True for d_a > 2 means
-    "no violation found", not a proof.
-    """
-    if rho.rank() != 2:
-        raise WrongRank(f"rank2_condition needs a rank-2 state, got rank {rho.rank()}")
+
+def _rank2_probes(rho: BipartiteState):
+    """(matrix, d_a) of rho, then, for d_a > 2, of every rank<=2 tracing of a
+    tensor factor of A and of RANK2_FILTER_PROBES Alice-filtered copies of rho
+    (seeded with RANK2_PROBE_SEED): all
+    are 1-LOCC images, so the necessary conditions must survive on each."""
     mat = np.asarray(rho.matrix)
-    if not _rank_le2_necessary_ok(mat, rho.d_a, rho.d_b):
-        return False
+    yield mat, rho.d_a
     if rho.d_a == 2:
-        return True
-
-    # factor tracings: if d_a = m*n, tracing either tensor factor of A is a
-    # 1-LOCC map; when the output happens to have rank <= 2 the necessary
-    # conditions must survive.
+        return
     for m in range(2, rho.d_a):
         if rho.d_a % m:
             continue
@@ -151,18 +144,34 @@ def rank2_condition(rho: BipartiteState, probe_trials: int = 32, seed: int = 20)
         full = mat.reshape(m, n, rho.d_b, m, n, rho.d_b)
         for reduced, d_left in ((np.einsum("iljiLJ->ljLJ", full).reshape(n * rho.d_b, n * rho.d_b), n),
                                 (np.einsum("iljIlJ->ijIJ", full).reshape(m * rho.d_b, m * rho.d_b), m)):
-            if linalg.numerical_rank(reduced) <= 2 and not _rank_le2_necessary_ok(reduced, d_left, rho.d_b):
-                return False
-
-    rng = np.random.default_rng(seed)
-    for _ in range(probe_trials):
-        filt = random_invertible_filter(rho.d_a, rng)
-        big = np.kron(filt, np.eye(rho.d_b))
+            if linalg.numerical_rank(reduced) <= 2:
+                yield reduced, d_left
+    rng = np.random.default_rng(RANK2_PROBE_SEED)
+    for _ in range(RANK2_FILTER_PROBES):
+        big = np.kron(random_invertible_filter(rho.d_a, rng), np.eye(rho.d_b))
         out = big @ mat @ linalg.dagger(big)
-        out /= np.trace(out).real
-        if not _rank_le2_necessary_ok(out, rho.d_a, rho.d_b):
-            return False
-    return True
+        yield out / np.trace(out).real, rho.d_a
+
+
+def rank2_violation(rho: BipartiteState) -> float | None:
+    """Rank-2 extendibility via the maximum-eigenvalue comparison: the margin
+    of the first probe (see :func:`_rank2_probes`) that fails the necessary
+    conditions of :func:`_rank_le2_violation`, or None.
+
+    For qubit A only rho itself is probed, and the verdict is exact: the
+    state has a symmetric extension iff rank(rho_B) <= 2 and
+    lambda_max(rho_AB) <= lambda_max(rho_B).  For larger A only a violation
+    is conclusive; None then means "no violation found", not a proof.
+    """
+    if rho.rank() != 2:
+        raise WrongRank(f"the rank-2 test needs a rank-2 state, got rank {rho.rank()}")
+    violations = (_rank_le2_violation(mat, d_a, rho.d_b) for mat, d_a in _rank2_probes(rho))
+    return next((v for v in violations if v is not None), None)
+
+
+def rank2_condition(rho: BipartiteState) -> bool:
+    """True when :func:`rank2_violation` finds none: exact for qubit A."""
+    return rank2_violation(rho) is None
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,17 @@ class TestChannelBasics:
         redundant = Channel((u * np.sqrt(0.5), u * np.sqrt(0.5)), 2, 2)
         assert redundant.environment_dim() == 1
 
+    def test_environment_dims_agree(self, rng):
+        # the Kraus recovery, the complement and the Gram rank read one support
+        cases = [(random_kraus_channel(n, rng, d), n) for n in (1, 2, 3, 4) for d in (2, 3)]
+        # a redundant family: each operator of a two-Kraus qubit channel split in two
+        two = cases[2][0]
+        cases.append((Channel(tuple(k * np.sqrt(w) for k in two.kraus for w in (0.3, 0.7)), 2, 2), 2))
+        for channel, env in cases:
+            assert channel.environment_dim() == env
+            assert len(kraus_from_choi(choi_state(channel)).kraus) == env
+            assert complementary_channel(channel).d_out == env
+
 
 class TestChoi:
     def test_identity_channel(self, bell_state):
@@ -184,7 +195,7 @@ class TestMarginalRankBound:
     def test_ancilla_example_not_excluded(self):
         rho = gallery.two_qubit_with_ancilla()
         assert linalg.numerical_rank(rho.rho_b) <= 2
-        assert twoqubit._rank_le2_necessary_ok(np.asarray(rho.matrix), rho.d_a, rho.d_b)
+        assert twoqubit._rank_le2_violation(np.asarray(rho.matrix), rho.d_a, rho.d_b) is None
 
     def test_wrong_rank(self, maximally_mixed):
         with pytest.raises(WrongRank):

@@ -12,6 +12,8 @@ from symext.oracle import decide
 
 # I/4 as a file's "matrix" field
 MIXED = json.dumps(io.matrix_to_json(np.eye(4) / 4.0))
+# a Kraus file of amplitude damping at eta = 0.3
+DAMPING = json.dumps(io.channel_payload(amplitude_damping(0.3)))
 
 
 @pytest.fixture
@@ -58,18 +60,30 @@ class TestIO:
             io.load_state(str(path))
         assert "[0][3]" in str(err.value)
 
-    @pytest.mark.parametrize("command, text", [
-        (["check"], f'{{"dims": [true, 4], "matrix": {MIXED}}}'),
-        (["check"], f'{{"dims": [2, 2], "matrix": {MIXED.replace("0.25", "NaN", 1)}}}'),
-        (["check"], '{"dims": [1, 1], "matrix": [[[true, 0]]]}'),
-        (["channel", "classify"], '{"d_in": true, "d_out": 1, "kraus": [[[[1.0, 0.0]]]]}'),
-    ], ids=["bool-dims", "nan-entry", "bool-entry", "bool-channel-dims"])
-    def test_malformed_file_is_invalid_input(self, tmp_path, capsys, command, text):
+    @pytest.mark.parametrize("text, argv", [
+        (f'{{"dims": [true, 4], "matrix": {MIXED}}}', ["check", "{file}"]),
+        (f'{{"dims": [2, 2], "matrix": {MIXED.replace("0.25", "NaN", 1)}}}', ["check", "{file}"]),
+        ('{"dims": [1, 1], "matrix": [[[true, 0]]]}', ["check", "{file}"]),
+        ('{"d_in": true, "d_out": 1, "kraus": [[[[1.0, 0.0]]]]}', ["channel", "classify", "{file}"]),
+        ('{"dims": [1, 2], "matrix": [5, 6]}', ["check", "{file}"]),
+        ('{"d_in": 1, "d_out": 1, "kraus": [[5]]}', ["channel", "classify", "{file}"]),
+        # unwritable output paths
+        (f'{{"dims": [2, 2], "matrix": {MIXED}}}', ["extend", "{file}", "-o", "{out}"]),
+        (DAMPING, ["channel", "choi", "{file}", "-o", "{out}"]),
+        (DAMPING, ["channel", "complement", "{file}", "-o", "{out}"]),
+        ("{}", ["scan", "werner", "--steps", "3", "--csv", "{out}"]),
+        ("{}", ["gallery", "werner", "--steps", "3", "--csv", "{out}"]),
+    ], ids=["bool-dims", "nan-entry", "bool-entry", "bool-channel-dims", "row-not-a-list",
+            "kraus-row-not-a-list", "extend-output", "choi-output", "complement-output",
+            "scan-csv", "gallery-csv"])
+    def test_malformed_file_is_invalid_input(self, tmp_path, capsys, text, argv):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main([*command, str(path)]) == EXIT_INVALID
+        unwritable = tmp_path / "missing" / "out"
+        assert main([a.format(file=path, out=unwritable) for a in argv]) == EXIT_INVALID
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not unwritable.parent.exists()
 
     def test_non_state_rejected(self, tmp_path):
         path = tmp_path / "notastate.json"
@@ -299,10 +313,18 @@ class TestGalleryCommand:
         assert "spectrum condition: True" in out
         assert "excludes one: True" in out
 
+    @pytest.mark.parametrize("p", ["-1", "nan", "inf"])
+    def test_example3_rejects_bad_filter(self, p, capsys):
+        # the filter diag(sqrt(p), 1) needs a finite p >= 0; p > 1 stays valid
+        assert main(["gallery", "example3", "--p", p]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert gallery.entry_qubit_qutrit(p=2.0).name == "example3"
+
     def test_werner_csv_threshold_column(self, tmp_path, capsys):
-        csv_path = str(tmp_path / "werner.csv")
-        assert main(["gallery", "werner", "--steps", "5", "--csv", csv_path]) == EXIT_YES
-        lines = open(csv_path).read().strip().splitlines()
+        csv_path = tmp_path / "werner.csv"
+        assert main(["gallery", "werner", "--steps", "5", "--csv", str(csv_path)]) == EXIT_YES
+        lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "p,conjecture,oracle,threshold"
         assert len(lines) == 6
         # extendible below the threshold, not above
@@ -314,29 +336,29 @@ class TestGalleryCommand:
 
 class TestScanCommand:
     def test_bell_grid_agreement(self, tmp_path):
-        csv_path = str(tmp_path / "bell.csv")
-        assert main(["scan", "bell", "--steps", "8", "--csv", csv_path]) == EXIT_YES
-        lines = open(csv_path).read().strip().splitlines()
+        csv_path = tmp_path / "bell.csv"
+        assert main(["scan", "bell", "--steps", "8", "--csv", str(csv_path)]) == EXIT_YES
+        lines = csv_path.read_text().strip().splitlines()
         header = lines[0].split(",")
         agree_idx = header.index("agree")
         assert all(line.split(",")[agree_idx] == "True" for line in lines[1:])
 
     def test_werner_csv_deterministic(self, tmp_path):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert main(["scan", "werner", "--steps", "11", "--csv", a]) == EXIT_YES
-        assert main(["scan", "werner", "--steps", "11", "--csv", b]) == EXIT_YES
-        assert open(a).read() == open(b).read()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["scan", "werner", "--steps", "11", "--csv", str(a)]) == EXIT_YES
+        assert main(["scan", "werner", "--steps", "11", "--csv", str(b)]) == EXIT_YES
+        assert a.read_text() == b.read_text()
 
     def test_zcorr_scan_deterministic(self, tmp_path):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert main(["scan", "zcorr", "--samples", "20", "--seed", "5", "--csv", a]) == EXIT_YES
-        assert main(["scan", "zcorr", "--samples", "20", "--seed", "5", "--csv", b]) == EXIT_YES
-        assert open(a).read() == open(b).read()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["scan", "zcorr", "--samples", "20", "--seed", "5", "--csv", str(a)]) == EXIT_YES
+        assert main(["scan", "zcorr", "--samples", "20", "--seed", "5", "--csv", str(b)]) == EXIT_YES
+        assert a.read_text() == b.read_text()
 
     def test_damping_scan(self, tmp_path):
-        csv_path = str(tmp_path / "ad.csv")
-        assert main(["scan", "amplitude-damping", "--steps", "5", "--csv", csv_path]) == EXIT_YES
-        lines = open(csv_path).read().strip().splitlines()
+        csv_path = tmp_path / "ad.csv"
+        assert main(["scan", "amplitude-damping", "--steps", "5", "--csv", str(csv_path)]) == EXIT_YES
+        lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "eta,degradable,anti_degradable,class"
         assert len(lines) == 6
 

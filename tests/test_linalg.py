@@ -199,3 +199,36 @@ def test_entropy_rejects_non_states():
         linalg.von_neumann_entropy(np.diag([1.0, 1.0]))
     with pytest.raises(NotAState):
         linalg.von_neumann_entropy(np.diag([1.5, -0.5]))
+
+
+def test_support_drops_the_cut():
+    # on a diagonal matrix the eigenvalues are exact: one sits exactly at the
+    # cut, one just above it, one is a tiny negative
+    at_cut = linalg.ZERO_CUTOFF * 0.6
+    lam, vecs = linalg.support(np.diag([at_cut, 0.4, -1e-17, 0.6, at_cut * (1 + 1e-6)]))
+    assert list(lam) == [0.6, 0.4, at_cut * (1 + 1e-6)]
+    assert np.array_equal(np.abs(vecs), np.eye(5)[:, [3, 1, 4]])
+    assert np.array_equal(linalg.nonzero_eigenvalues(np.diag([at_cut, 0.4, -1e-17, 0.6])), [0.6, 0.4])
+
+
+def test_support_reconstructs_the_kept_part(rng):
+    u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    vals = np.array([0.6, 0.4, 1e-6, 1e-12, -1e-17])
+    m = (u * vals) @ u.conj().T
+    lam, vecs = linalg.support(m)
+    assert lam.shape == (3,) and vecs.shape == (5, 3)
+    assert np.all(np.diff(lam) <= 0)
+    # V diag(lam) V^dag is m with the dropped part removed
+    kept = (u[:, :3] * vals[:3]) @ u[:, :3].conj().T
+    assert np.allclose((vecs * lam) @ vecs.conj().T, kept, rtol=0, atol=1e-15)
+
+
+def test_support_of_zero_is_empty():
+    lam, vecs = linalg.support(np.zeros((3, 3)))
+    assert lam.shape == (0,) and vecs.shape == (3, 0)
+    assert linalg.nonzero_eigenvalues(-np.eye(2)).shape == (0,)
+
+
+def test_support_rejects_non_hermitian():
+    with pytest.raises(NotHermitian):
+        linalg.support(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -270,6 +270,9 @@ def test_decide_witness_rule(rng, symmetry):
                 assert result.status is oracle_status
             if result.infeasible and symmetry != "any" and result.method.startswith("closed-form"):
                 assert result.proven
+            if result.method.startswith("closed-form"):
+                # a "no" has a negative margin; a "yes" is >= 0 up to rounding
+                assert result.residual < 0 if result.infeasible else result.residual >= -1e-8
             if result.witness is not None:
                 assert is_symmetric_extension(result.witness, rho, tol=1e-7)
                 if symmetry == "bosonic":

@@ -138,6 +138,8 @@ class TestRank2:
     def test_ancilla_example_rejected(self):
         # spectra match but tracing one A factor exposes a maximally entangled pair
         assert not twoqubit.rank2_condition(gallery.two_qubit_with_ancilla())
+        # the traced pair has lambda_max(rho_B) - lambda_max(rho) = 1/2 - 1
+        assert abs(twoqubit.rank2_violation(gallery.two_qubit_with_ancilla()) + 0.5) < 1e-15
 
     def test_rank3_marginal_rejected(self):
         # rank-2 state on 2x3 whose B marginal has rank 3
@@ -149,6 +151,14 @@ class TestRank2:
                              + 0.5 * np.outer(psi2, psi2.conj()), 2, 3)
         assert linalg.numerical_rank(rho.rho_b) == 3
         assert not twoqubit.rank2_condition(rho)
+        assert abs(twoqubit.rank2_violation(rho) + 0.25) < 1e-15  # -lambda_3(rho_B)
+
+    def test_violation_is_a_negative_margin(self, rng):
+        samples = [gallery.qutrit_qubit()] + [random_rank2_state(rng, d_a, d_b)
+                                              for d_a in (2, 3, 4) for d_b in (2, 3) for _ in range(10)]
+        violations = [twoqubit.rank2_violation(rho) for rho in samples]
+        assert violations[0] < 0
+        assert all(v is None or v < 0 for v in violations)
 
     def test_wrong_rank(self, rng, maximally_mixed):
         with pytest.raises(WrongRank):
