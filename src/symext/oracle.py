@@ -21,6 +21,17 @@ check has a margin of CERTIFICATE_MARGIN * ||W||_F and is re-run from scratch
 by :func:`verify_infeasibility_certificate`.  A run that stalls or hits the
 iteration cap without either certificate comes back Undecided.
 
+A rank-deficient rho is decided on its face first.  With R an orthonormal
+basis of its range, every extension lives on (R (x) H_B') within the sectors
+S keeps: for v in ker rho, tr((|v><v| (x) I) sigma) = <v|rho|v> = 0.  There
+sigma = sum_s F_s Y_s F_s^dag and the reduction constraint is one small
+matrix M, factored once.  An empty face, an empty affine set and a face
+affine set of one point are decided with no iteration; otherwise
+Douglas-Rachford runs on the blocks Y_s.  A face "no" is a dual witness W0 on
+the range, lifted to W = R W0 R^dag + t (I - R R^dag); it and a face witness
+are re-verified like any other, and a face run that ends with neither falls
+through to the full-space iteration.
+
 :func:`decide` is the decision pipeline: the closed forms in a fixed order, this oracle last.
 """
 
@@ -60,6 +71,11 @@ CERTIFICATE_MARGIN = 1e-9
 MAX_ITERATIONS = 50000
 STALL_WINDOW = 500
 STALL_IMPROVEMENT = 1e-7
+
+# A rank-deficient rho of rank r goes straight to the full-space iteration
+# when its face constraint matrix M has more than this many entries
+# (r^2 * sum_s k_s^2; 2^22 complex entries are 64 MB).
+MAX_FACE_ENTRIES = 2 ** 22
 
 # Every witness a verdict rests on re-verifies at this tolerance.
 WITNESS_TOL = 1e-7
@@ -115,7 +131,11 @@ class FeasibilityResult:
     margin such as -2.2e-16.  ``stop_reason`` says why the oracle stopped:
     "converged", "certified", "stalled", "iteration-cap", "support" (the
     state is outside the reductions the symmetry mode can reach) or
-    "witness-rejected"; it is None for closed-form verdicts.
+    "witness-rejected"; it is None for closed-form verdicts.  ``iterations``
+    counts Douglas-Rachford iterations; a face exit of a rank-deficient state
+    reports 0 with ``residual`` the negative-eigenvalue mass of the face's
+    one affine point, or the distance ||e|| of the face's affine set from the
+    constraint when that set is empty (the whole face being empty included).
     """
 
     status: Feasibility
@@ -148,10 +168,10 @@ class _ExtensionGeometry:
         self.perm = linalg.swap_permutation(d_a, d_b)
         self.parity = {"any": 0, "bosonic": 1, "fermionic": -1}[symmetry]
         # C = c0 (Id - E) + c1 E, summed over the parity sectors S allows.
-        parities = (1, -1) if self.parity == 0 else (self.parity,)
-        c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in parities)
+        self.sectors = (1, -1) if self.parity == 0 else (self.parity,)
+        c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in self.sectors)
         self.inv0, self.inv1 = (0.0 if abs(c) <= 1e-12 else 1.0 / c
-                                for c in (c0, c0 + len(parities) / 4.0))
+                                for c in (c0, c0 + len(self.sectors) / 4.0))
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the last factor (B' of A B B', or B of A B)."""
@@ -234,9 +254,10 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
     """Decide whether ``rho`` admits a symmetric extension of its B system.
 
     Douglas-Rachford iteration between the PSD cone and the affine constraint
-    set.  The residual is the negative-eigenvalue mass of the affine-feasible
-    iterate; it converges to zero exactly when an extension exists and to the
-    distance between the two constraint sets otherwise.
+    set, on the face of a rank-deficient ``rho`` first (see the module
+    docstring).  The residual is the negative-eigenvalue mass of the
+    affine-feasible iterate; it converges to zero exactly when an extension
+    exists and to the distance between the two constraint sets otherwise.
     """
     opts = opts or OracleOptions()
     d_a, d_b = rho.d_a, rho.d_b
@@ -259,48 +280,217 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
             method=f"oracle({opts.symmetry}-support)",
             certificate=cert if certified else None, stop_reason="support", proven=certified)
 
+    spent = 0
+    lam, range_basis = linalg.support(target)
+    if lam.size < target.shape[0]:
+        face = _decide_on_face(rho, geom, range_basis, opts, method)
+        if face is not None and face.status is not Feasibility.UNDECIDED:
+            return face
+        spent = face.iterations if face is not None else 0
+
+    def certify(step: np.ndarray) -> np.ndarray | None:
+        cert = geom.shifted(geom.dual_candidate(step))
+        return cert if verify_infeasibility_certificate(cert, rho, opts.symmetry) else None
+
     # Starting in the range of S keeps every iterate there: the PSD part of an
     # S-invariant matrix is S-invariant.
-    z = geom.lift(target)
+    outcome = _douglas_rachford(geom.lift(target), lambda z: geom.project_affine(z, target),
+                                np.linalg.eigvalsh, _psd_part, certify, opts.tol_feasible)
+    result = _loop_result(outcome, rho, method, lambda x: x)
+    return replace(result, iterations=result.iterations + spent)
+
+
+def _negative_mass(vals: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.minimum(vals, 0.0) ** 2)))
+
+
+def _psd_part(m: np.ndarray) -> np.ndarray:
+    """Projection of a Hermitian matrix onto the PSD cone."""
+    w, vecs = np.linalg.eigh(m)
+    return (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+
+
+def _douglas_rachford(z, project, eigvalsh, psd_part, certify, tol: float):
+    """Douglas-Rachford iteration from ``z`` between an affine set and the PSD cone.
+
+    ``project`` is the projection onto the affine set, ``eigvalsh`` the spectrum
+    of an affine point and ``psd_part`` the projection onto the cone.  Every
+    CERTIFY_EVERY iterations the step difference goes to ``certify``, which
+    returns a verified infeasibility certificate or None.  Returns
+    (stop_reason, found, residual, iterations): "converged" with the affine
+    point whose residual fell to ``tol``, "certified" with the certificate, or
+    "stalled" / "iteration-cap" with None and the best residual.
+    """
     # The raw residual wobbles (it can bump up right before the final plunge
     # of a feasible run), so stall detection tracks the monotone running best.
     best_history: list[float] = []
     best = float("inf")
     for it in range(1, MAX_ITERATIONS + 1):
-        x = geom.project_affine(z, target)
-        vals = np.linalg.eigvalsh(x)
-        res = float(np.sqrt(np.sum(np.minimum(vals, 0.0) ** 2)))
+        x = project(z)
+        res = _negative_mass(eigvalsh(x))
         best = min(best, res)
         best_history.append(best)
-        if res <= opts.tol_feasible:
-            return _verified_feasible(x, rho, res, it, method)
-        reflected = 2.0 * x - z
-        w, vecs = np.linalg.eigh(reflected)
-        psd = (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+        if res <= tol:
+            return "converged", x, res, it
+        psd = psd_part(2.0 * x - z)
         if it % CERTIFY_EVERY == 0:
             # x - psd = z_k - z_{k+1} tends to the minimal displacement vector.
-            cert = geom.shifted(geom.dual_candidate(x - psd))
-            if verify_infeasibility_certificate(cert, rho, opts.symmetry):
-                return FeasibilityResult(Feasibility.INFEASIBLE, None, best, it, method,
-                                         certificate=cert, stop_reason="certified", proven=True)
+            cert = certify(x - psd)
+            if cert is not None:
+                return "certified", cert, best, it
         if it > STALL_WINDOW:
             old = best_history[it - 1 - STALL_WINDOW]
             if old > 0.0 and (old - best) / old < STALL_IMPROVEMENT:
-                return FeasibilityResult(Feasibility.UNDECIDED, None, best, it, method,
-                                         stop_reason="stalled")
+                return "stalled", None, best, it
         z = z + psd - x
-    return FeasibilityResult(Feasibility.UNDECIDED, None, best, MAX_ITERATIONS, method,
-                             stop_reason="iteration-cap")
+    return "iteration-cap", None, best, MAX_ITERATIONS
+
+
+def _loop_result(outcome, rho: BipartiteState, method: str, extension) -> FeasibilityResult:
+    """The verdict of a :func:`_douglas_rachford` outcome; ``extension`` maps its
+    affine point to a matrix on A B B'."""
+    reason, found, res, it = outcome
+    if reason == "converged":
+        return _verified_feasible(extension(found), rho, res, it, method)
+    if reason == "certified":
+        return FeasibilityResult(Feasibility.INFEASIBLE, None, res, it, method,
+                                 certificate=found, stop_reason=reason, proven=True)
+    return FeasibilityResult(Feasibility.UNDECIDED, None, res, it, method, stop_reason=reason)
 
 
 def _verified_feasible(x: np.ndarray, rho: BipartiteState, res: float, iterations: int,
                        method: str) -> FeasibilityResult:
-    witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
-    if not is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
-        return FeasibilityResult(Feasibility.UNDECIDED, None, res, iterations, method,
-                                 stop_reason="witness-rejected")
-    return FeasibilityResult(Feasibility.FEASIBLE, witness, res, iterations, method,
-                             stop_reason="converged")
+    if linalg.is_density_matrix(x):
+        witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
+        if is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
+            return FeasibilityResult(Feasibility.FEASIBLE, witness, res, iterations, method,
+                                     stop_reason="converged")
+    return FeasibilityResult(Feasibility.UNDECIDED, None, res, iterations, method,
+                             stop_reason="witness-rejected")
+
+
+class _Face:
+    """The face of the extension problem that the support of rho leaves.
+
+    ``bases`` holds, for each sector S keeps, an orthonormal basis F_s of its
+    vectors in the kernel of Pi_ker(rho) (x) I_B' (possibly none).  A point y
+    stacks the blocks Y_s of sigma = sum_s F_s Y_s F_s^dag row-major, and the
+    reduction constraint R^dag tr_B'(sigma) R = R^dag rho R reads M y = b, with
+    M = U diag(s) Vh kept above the zero cut.
+    """
+
+    def __init__(self, rho: BipartiteState, geom: _ExtensionGeometry, range_basis: np.ndarray,
+                 bases: list[np.ndarray], symmetry: str):
+        self.rho, self.geom, self.symmetry = rho, geom, symmetry
+        self.range, self.bases = range_basis, bases
+        n, r = range_basis.shape
+        self.sizes = [f.shape[1] for f in bases]
+        self.offsets = np.cumsum([0] + [k * k for k in self.sizes])
+        self.b = (linalg.dagger(range_basis) @ rho.matrix @ range_basis).ravel()
+        columns = []
+        for f, k in zip(bases, self.sizes):
+            g = (linalg.dagger(range_basis) @ f.reshape(n, geom.d_b * k)).reshape(r, geom.d_b, k)
+            columns.append(np.einsum("pbi,qbj->pqij", g, g.conj()).reshape(r * r, k * k))
+        self.m = np.hstack(columns)
+        u, s, vh = np.linalg.svd(self.m, full_matrices=False)
+        keep = linalg.above_cut(s)
+        self.u, self.s, self.vh = u[:, keep], s[keep], vh[keep]
+        # the least-squares point of least norm
+        self.y0 = linalg.dagger(self.vh) @ ((linalg.dagger(self.u) @ self.b) / self.s)
+
+    def blocks(self, y: np.ndarray) -> list[np.ndarray]:
+        return [y[lo:hi].reshape(k, k) for lo, hi, k in zip(self.offsets, self.offsets[1:], self.sizes)]
+
+    def extension(self, y: np.ndarray) -> np.ndarray:
+        return sum(f @ blk @ f.conj().T for f, blk in zip(self.bases, self.blocks(y)))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto {M y = U U^dag b}."""
+        return self.y0 + z - linalg.dagger(self.vh) @ (self.vh @ z)
+
+    def eigvalsh(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.linalg.eigvalsh(blk) for blk in self.blocks(y)])
+
+    def psd_part(self, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([_psd_part(blk).ravel() for blk in self.blocks(y)])
+
+    def dual(self, c: np.ndarray) -> np.ndarray:
+        """(M^dag)^+ c as an r x r matrix."""
+        r = self.range.shape[1]
+        return (self.u @ ((self.vh @ c) / self.s)).reshape(r, r)
+
+    def certify(self, step: np.ndarray) -> np.ndarray | None:
+        return self.certificate(-self.dual(step))
+
+    def certificate(self, w0: np.ndarray) -> np.ndarray | None:
+        """A verified certificate W = R W0 R^dag + t (I - R R^dag), or None.
+
+        On the face, S(W (x) I) compresses to A*(W0) = M^dag W0 whatever t is,
+        so a W0 with <W0, b> + max(0, -lambda_min(A*(W0))) >= 0 cannot be lifted
+        to one; otherwise t runs over 0, 1, 4, ..., 4^6 (in units of ||W0||_F)
+        until one verifies.
+        """
+        w0 = 0.5 * (w0 + w0.conj().T)
+        scale = linalg.frobenius(w0)
+        low = self.eigvalsh(self.m.conj().T @ w0.ravel()).min(initial=0.0)
+        if np.vdot(w0.ravel(), self.b).real - low >= -CERTIFICATE_MARGIN * scale:
+            return None
+        on_range = self.range @ w0 @ linalg.dagger(self.range)
+        kernel = np.eye(on_range.shape[0]) - self.range @ linalg.dagger(self.range)
+        for t in (0.0, *(4.0 ** j for j in range(7))):
+            cert = self.geom.shifted(on_range + t * scale * kernel)
+            if verify_infeasibility_certificate(cert, self.rho, self.symmetry):
+                return cert
+        return None
+
+
+def _face_bases(geom: _ExtensionGeometry, range_basis: np.ndarray) -> list[np.ndarray]:
+    """Per sector S keeps, an orthonormal basis of its vectors that Pi_ker(rho) (x) I_B'
+    annihilates: the eigenvectors of that compression outside the zero cut."""
+    n = range_basis.shape[0]
+    # Pi_ker(rho) (x) I/d_b: the zero cut is relative, so the 1/d_b does not matter
+    kernel = geom.embed(np.eye(n) - range_basis @ linalg.dagger(range_basis))
+    identity = np.eye(n * geom.d_b, dtype=np.complex128)
+    bases = []
+    for s in geom.sectors:
+        sector = linalg.support(linalg.parity_projection(identity, geom.perm, s))[1]
+        vals, vecs = np.linalg.eigh(linalg.dagger(sector) @ kernel @ sector)
+        bases.append(sector @ vecs[:, ~linalg.above_cut(vals)])
+    return bases
+
+
+def _decide_on_face(rho: BipartiteState, geom: _ExtensionGeometry, range_basis: np.ndarray,
+                    opts: OracleOptions, method: str) -> FeasibilityResult | None:
+    """Decide a rank-deficient ``rho`` on its face; None, or an Undecided result
+    with the iterations spent, sends it on to the full-space iteration."""
+    r = range_basis.shape[1]
+    bases = _face_bases(geom, range_basis)
+    if r * r * sum(f.shape[1] ** 2 for f in bases) > MAX_FACE_ENTRIES:
+        return None
+    face = _Face(rho, geom, range_basis, bases, opts.symmetry)
+
+    def refuted(cert: np.ndarray | None, residual: float) -> FeasibilityResult | None:
+        return None if cert is None else FeasibilityResult(
+            Feasibility.INFEASIBLE, None, residual, 0, method, certificate=cert,
+            stop_reason="certified", proven=True)
+
+    # The least-squares residual e has A*(e) = 0 and tr(e rho) = -||e||^2; on an
+    # empty face (sigma = 0, whose trace is not 1) it is -R^dag rho R.
+    e = face.m @ face.y0 - face.b
+    refutation = refuted(face.certificate(e.reshape(r, r)), linalg.frobenius(e))
+    if refutation is not None:
+        return refutation
+    if face.s.size < face.m.shape[1]:
+        outcome = _douglas_rachford(face.y0, face.project, face.eigvalsh, face.psd_part,
+                                    face.certify, opts.tol_feasible)
+        return _loop_result(outcome, rho, method, face.extension)
+    # One point Y0: the witness if it is PSD; otherwise the dual candidate of its
+    # step difference, the negative part N of Y0, solves M^dag W0 = N with
+    # tr(W0 rho) = -||N||^2.
+    res = _negative_mass(face.eigvalsh(face.y0))
+    if res <= opts.tol_feasible:
+        return _verified_feasible(face.extension(face.y0), rho, res, 0, method)
+    return refuted(face.certify(face.y0 - face.psd_part(face.y0)), res)
 
 
 def _closed_form(ok: bool, name: str, margin: float, witness: TripartiteExtension | None = None,

@@ -29,6 +29,14 @@ def depolarizing_full():
     return Channel(tuple(0.5 * p.astype(complex) for p in paulis), 2, 2)
 
 
+def isometry_channel(d, n_kraus, rng):
+    # Kraus operators sliced the other way from a random isometry C^d -> C^n (x) C^d,
+    # as the benchmark's random channels are
+    g = rng.standard_normal((d * n_kraus, d)) + 1j * rng.standard_normal((d * n_kraus, d))
+    q, _ = np.linalg.qr(g)
+    return Channel(tuple(q.reshape(n_kraus, d, d)), d, d)
+
+
 def random_kraus_channel(n_kraus, rng, d=2):
     # random isometry from C^d to C^d (x) C^n sliced into Kraus operators
     g = rng.standard_normal((d * n_kraus, d)) + 1j * rng.standard_normal((d * n_kraus, d))
@@ -168,6 +176,12 @@ class TestDegradability:
             if Feasibility.UNDECIDED not in (lhs, rhs):
                 assert lhs == rhs
 
+    def test_qutrit_channels_all_classified(self):
+        # the full-space iteration leaves channel 2 undecided
+        rng = np.random.default_rng(3131)
+        for i in range(4):
+            assert classify_channel(isometry_channel(3, 2, rng)).tag is not ChannelTag.UNDECIDED, i
+
     def test_two_kraus_never_neither(self, rng):
         for _ in range(10):
             channel = random_kraus_channel(2, rng)
@@ -203,7 +217,7 @@ class TestMarginalRankBound:
 
 
 class TestDegradingMap:
-    def verify(self, channel):
+    def verify(self, channel, tol=1e-6):
         result = is_anti_degradable(channel)
         assert result.feasible
         degrader = degrading_map_from_extension(channel, result.witness)
@@ -212,7 +226,14 @@ class TestDegradingMap:
                            channel.d_in, channel.d_out)
         err = linalg.trace_distance(choi_state(composed).state.matrix,
                                     choi_state(channel).state.matrix)
-        assert err <= 1e-6
+        assert err <= tol
+
+    def test_oracle_witnesses_of_three_kraus_channels(self):
+        # every one of these is anti-degradable by an oracle witness on the
+        # face of its rank-3 Choi state
+        rng = np.random.default_rng(99)
+        for _ in range(12):
+            self.verify(isometry_channel(2, 3, rng), tol=1e-8)
 
     def test_depolarizing(self):
         self.verify(depolarizing_full())

@@ -195,6 +195,16 @@ class TestFermionicQutritExample:
             fermionic_qutrit_example(a=0.0)
 
 
+# States that neither converge nor certify within ten iterations, with the
+# number of loops they run: a full-rank state runs the full-space loop only; a
+# rank-3 state runs the face loop and, having no verdict from it, falls
+# through to the full-space loop.
+LOOP_STATES = {
+    "full-rank": lambda: (gallery.werner(0.75), 1),
+    "rank-3": lambda: (twoqubit.BellDiagonalParams(0.8, 0.0, 0.1, 0.1).state(), 2),
+}
+
+
 class TestInfeasibilityCertificate:
     def test_certified_before_stall_window(self, bell_state):
         werner = gallery.werner(0.75)
@@ -234,19 +244,25 @@ class TestInfeasibilityCertificate:
         with pytest.raises(ValueError):
             verify_infeasibility_certificate(np.eye(4), bell_state, "anyonic")
 
-    def test_forced_stall_is_undecided(self, bell_state, monkeypatch):
+    @pytest.mark.parametrize("state", LOOP_STATES)
+    def test_forced_stall_is_undecided(self, state, monkeypatch):
         monkeypatch.setattr(oracle, "STALL_WINDOW", 2)
         monkeypatch.setattr(oracle, "STALL_IMPROVEMENT", 1.0)
-        result = find_symmetric_extension(bell_state)
+        rho, loops = LOOP_STATES[state]()
+        result = find_symmetric_extension(rho)
         assert result.status is Feasibility.UNDECIDED
         assert result.stop_reason == "stalled"
         assert result.certificate is None
+        assert result.iterations == 3 * loops
 
-    def test_iteration_cap_is_undecided(self, bell_state, monkeypatch):
+    @pytest.mark.parametrize("state", LOOP_STATES)
+    def test_iteration_cap_is_undecided(self, state, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 10)
-        result = find_symmetric_extension(bell_state)
+        rho, loops = LOOP_STATES[state]()
+        result = find_symmetric_extension(rho)
         assert result.status is Feasibility.UNDECIDED
         assert result.stop_reason == "iteration-cap"
+        assert result.iterations == 10 * loops
 
 
 @pytest.mark.parametrize("symmetry", ["any", "bosonic", "fermionic"])
@@ -350,3 +366,158 @@ def test_undecided_criterion_7_draws_now_feasible():
         result = find_symmetric_extension(rho)
         assert result.feasible, (i, result.stop_reason)
         assert is_symmetric_extension(result.witness, rho, tol=oracle.WITNESS_TOL)
+
+
+def face_of(rho, symmetry="any"):
+    geom = oracle._ExtensionGeometry(rho.d_a, rho.d_b, symmetry)
+    range_basis = linalg.support(rho.matrix)[1]
+    return oracle._Face(rho, geom, range_basis, oracle._face_bases(geom, range_basis), symmetry)
+
+
+def assert_backed(result, rho, symmetry="any"):
+    if result.feasible:
+        assert is_symmetric_extension(result.witness, rho, tol=oracle.WITNESS_TOL)
+    else:
+        assert result.infeasible and result.proven
+        assert verify_infeasibility_certificate(result.certificate, rho, symmetry)
+
+
+def test_criterion_7_draw_1723_certified():
+    # a rank-3 criterion-7 draw just inside the infeasible side; the
+    # full-space iteration stalls on it
+    rng = np.random.default_rng(707)
+    for _ in range(1724):
+        rho = random_state(2, 2, rng, rank=int(rng.integers(1, 5)))
+    assert -2e-4 < twoqubit.conjecture_margin(rho) < -1e-4
+    result = find_symmetric_extension(rho)
+    assert result.infeasible and result.stop_reason == "certified"
+    assert_backed(result, rho)
+
+
+def test_rank3_qubit_qutrit_draws_all_decided():
+    # the full-space iteration leaves five of these undecided
+    rng = np.random.default_rng(32)
+    for i in range(16):
+        rho = random_state(3, 2, rng, rank=3)
+        result = find_symmetric_extension(rho)
+        assert result.status is not Feasibility.UNDECIDED, i
+        assert_backed(result, rho)
+
+
+class TestFace:
+    def test_face_vectors_lie_in_the_support(self, rng):
+        # F_s spans the vectors of each sector that Pi_ker(rho) (x) I_B' kills
+        for symmetry in oracle.SYMMETRIES:
+            rho = random_state(3, 2, rng, rank=4)
+            geom = oracle._ExtensionGeometry(3, 2, symmetry)
+            range_basis = linalg.support(rho.matrix)[1]
+            kernel = np.kron(np.eye(6) - range_basis @ range_basis.conj().T, np.eye(2))
+            for f in oracle._face_bases(geom, range_basis):
+                assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-12)
+                assert linalg.frobenius(kernel @ f) < 1e-12
+                if symmetry != "any":
+                    assert np.allclose(f[geom.perm], geom.parity * f, atol=1e-12)
+
+    def test_empty_face(self, rng):
+        # an entangled pure state: no vector of R (x) H_B' is swap-invariant
+        for _ in range(3):
+            rho = random_state(2, 2, rng, rank=1)
+            assert not any(face_of(rho).sizes)
+            result = find_symmetric_extension(rho)
+            assert result.stop_reason == "certified" and result.iterations == 0
+            assert result.residual == pytest.approx(1.0)
+            assert_backed(result, rho)
+
+    def test_empty_affine_set(self, rng):
+        # a density matrix on the 2-dimensional range of a traced-symmetric
+        # 3x2 state: the face is one vector, and it reduces to rho only for
+        # the traced state
+        for _ in range(4):
+            range_basis = linalg.support(traced_symmetric_state(rng, 3, 2).matrix)[1]
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            rho = BipartiteState(range_basis @ (g @ g.conj().T) @ range_basis.conj().T
+                                 / np.trace(g @ g.conj().T).real, 3, 2)
+            face = face_of(rho)
+            gap = linalg.frobenius(face.m @ face.y0 - face.b)
+            assert gap > 1e-3
+            result = find_symmetric_extension(rho)
+            assert result.infeasible and result.iterations == 0
+            assert result.residual == pytest.approx(gap)
+            assert_backed(result, rho)
+
+    def test_one_point_yes(self, rng):
+        for _ in range(3):
+            rho = traced_symmetric_state(rng)
+            face = face_of(rho)
+            assert face.s.size == face.m.shape[1]
+            result = find_symmetric_extension(rho)
+            assert result.feasible and result.iterations == 0
+            assert_backed(result, rho)
+
+    def test_one_point_no(self, rng):
+        refuted = 0
+        for _ in range(12):
+            rho = random_rank2_state(rng)
+            if twoqubit.rank2_condition(rho):
+                continue
+            face = face_of(rho)
+            assert face.s.size == face.m.shape[1]
+            result = find_symmetric_extension(rho)
+            assert result.iterations == 0 and result.residual > 0.0
+            assert_backed(result, rho)
+            refuted += 1
+        assert refuted >= 2
+
+    def test_face_iteration(self, rng):
+        # rank-3 two-qubit states: a face of 4x4 blocks and 9 constraints;
+        # random draws are mostly extendible, rotated Bell-diagonal ones are not
+        samples = [random_state(2, 2, rng, rank=3) for _ in range(8)]
+        for probs in ((0.8, 0.0, 0.1, 0.1), (0.7, 0.2, 0.1, 0.0)):
+            u = linalg.tensor(random_unitary(2, rng), random_unitary(2, rng))
+            bell = twoqubit.BellDiagonalParams(*probs).state().matrix
+            samples.append(BipartiteState(u @ bell @ u.conj().T, 2, 2))
+        seen = set()
+        for rho in samples:
+            face = face_of(rho)
+            assert face.s.size < face.m.shape[1]
+            result = find_symmetric_extension(rho)
+            assert 0 < result.iterations <= 200
+            assert result.feasible == (twoqubit.conjecture_margin(rho) > 0)
+            assert_backed(result, rho)
+            seen.add(result.status)
+        assert seen == {Feasibility.FEASIBLE, Feasibility.INFEASIBLE}
+
+    def test_mass_under_the_cut_falls_through(self):
+        # two eigenvalues just under the zero cut: the face witness misses their
+        # 1.4e-9 of trace, is rejected, and the full-space loop decides
+        traced = traced_symmetric_state(np.random.default_rng(11))
+        eig = linalg.hermitian_eig(traced.matrix)
+        kernel = eig.eigenvectors[:, 2:]
+        mat = traced.matrix + 0.9e-9 * eig.eigenvalues[0] * kernel @ kernel.conj().T
+        rho = BipartiteState(mat / np.trace(mat).real, 2, 2)
+        assert rho.rank() == 2
+        result = find_symmetric_extension(rho)
+        assert result.feasible and result.iterations > 0
+        assert_backed(result, rho)
+
+    def test_size_gate(self, rng, monkeypatch):
+        samples = [traced_symmetric_state(rng), random_rank2_state(rng), random_state(2, 2, rng, rank=3),
+                   traced_symmetric_state(rng, 3, 2)]
+        on_face = [find_symmetric_extension(rho) for rho in samples]
+        monkeypatch.setattr(oracle, "MAX_FACE_ENTRIES", 0)
+        for rho, face_result in zip(samples, on_face):
+            result = find_symmetric_extension(rho)
+            assert result.status is face_result.status
+            assert result.iterations > 0  # the full-space iteration ran
+
+    def test_fallback_keeps_the_verdict(self, rng, monkeypatch, bell_state):
+        samples = [bell_state, gallery.werner(0.6), random_rank2_state(rng),
+                   twoqubit.BellDiagonalParams(0.8, 0.0, 0.1, 0.1).state()]
+        monkeypatch.setattr(oracle, "MAX_FACE_ENTRIES", 0)
+        full_space = [find_symmetric_extension(rho) for rho in samples]
+        monkeypatch.setattr(oracle, "MAX_FACE_ENTRIES", 2 ** 22)
+        monkeypatch.setattr(oracle._Face, "certificate", lambda self, w0: None)
+        for rho, expected in zip(samples, full_space):
+            result = find_symmetric_extension(rho)
+            assert result.status is expected.status
+            assert_backed(result, rho)
