@@ -70,7 +70,7 @@ class Verdict:
 
 
 def _oracle_options(args) -> OracleOptions:
-    kwargs = {"symmetry": getattr(args, "symmetry", "any")}
+    kwargs = {"symmetry": getattr(args, "symmetry", None) or "any"}
     if args.tol is not None:
         kwargs["tol_feasible"] = args.tol
     try:
@@ -133,6 +133,11 @@ def cmd_verify_extension(args) -> int:
             residuals={"symmetry": sigma.symmetry_residual,
                        "reduction": sigma.reduction_residual}).emit(args.json)
     return EXIT_YES if ok else EXIT_NO
+
+
+# the flags each `channel` action reads; argparse cannot tie an option to a
+# positional choice, so main rejects the others with exit code 2
+CHANNEL_FLAGS = {"classify": ("symmetry", "tol", "json"), "choi": ("output",), "complement": ("output",)}
 
 
 def cmd_channel(args) -> int:
@@ -306,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("kraus_file")
     p_ch.add_argument("-o", "--output", default=None)
     common(p_ch)
-    p_ch.set_defaults(func=cmd_channel)
+    # None marks a flag as not given; see CHANNEL_FLAGS
+    p_ch.set_defaults(func=cmd_channel, symmetry=None, json=None)
 
     p_gal = sub.add_parser("gallery", help="named example states with recomputed findings")
     p_gal.add_argument("name", choices=sorted(gallery.ENTRIES))
@@ -327,7 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "channel":
+        unread = [f"--{dest}" for dest in ("symmetry", "tol", "json", "output")
+                  if getattr(args, dest) is not None and dest not in CHANNEL_FLAGS[args.action]]
+        if unread:
+            parser.error(f"channel {args.action} does not read {', '.join(unread)}")
     try:
         return args.func(args)
     except SymextError as exc:

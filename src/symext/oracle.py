@@ -123,12 +123,12 @@ class FeasibilityResult:
     witness W on AB, see :func:`verify_infeasibility_certificate`) an
     Infeasible one.  ``proven``: the verdict rests on a theorem (such as the
     two-qubit condition, Chen et al., PRA 90, 032318 (2014)) or a verified
-    certificate, not on the grid search or an oracle "yes".  ``residual`` is
-    the oracle's best constraint residual, or a closed form's margin: < 0 on
-    every closed-form "no", and >= 0 on the extendible side up to the rounding
-    tolerance the closed form reads it with (1e-9 for rank 2 and both
-    Z-correlated forms, spectra matching to 1e-8), so a "yes" may print a
-    margin such as -2.2e-16.  ``stop_reason`` says why the oracle stopped:
+    certificate, not on an oracle "yes".  ``residual`` is the oracle's best
+    constraint residual, or a closed form's margin: < 0 on every closed-form
+    "no", and >= 0 on the extendible side up to the rounding tolerance the
+    closed form reads it with (1e-9 for rank 2 and the Z-correlated y = 0
+    form, spectra matching to 1e-8), so a "yes" may print a margin such as
+    -2.2e-16.  ``stop_reason`` says why the oracle stopped:
     "converged", "certified", "stalled", "iteration-cap", "support" (the
     state is outside the reductions the symmetry mode can reach) or
     "witness-rejected"; it is None for closed-form verdicts.  ``iterations``
@@ -493,10 +493,11 @@ def _decide_on_face(rho: BipartiteState, geom: _ExtensionGeometry, range_basis: 
     return refuted(face.certify(face.y0 - face.psd_part(face.y0)), res)
 
 
-def _closed_form(ok: bool, name: str, margin: float, witness: TripartiteExtension | None = None,
-                 proven: bool = True) -> FeasibilityResult:
+def _closed_form(ok: bool, name: str, margin: float,
+                 witness: TripartiteExtension | None = None) -> FeasibilityResult:
+    """Every closed form ``decide`` runs is a theorem, so its verdict is proven."""
     return FeasibilityResult(Feasibility.FEASIBLE if ok else Feasibility.INFEASIBLE, witness,
-                             float(margin), 0, f"closed-form({name})", proven=proven)
+                             float(margin), 0, f"closed-form({name})", proven=True)
 
 
 def _lambda_max_margin(rho: BipartiteState) -> float:
@@ -521,8 +522,10 @@ def _coherent_information_step(rho: BipartiteState, want_witness: bool) -> Feasi
 
 
 def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
-    """Rank 2: ``twoqubit.rank2_violation``, exact for qubit A; for larger A only
-    a violation is proven, and its margin is that of the state that failed."""
+    """Rank 2: ``twoqubit.rank2_violation``, exact for qubit A.  For larger A
+    only a violation of rho or of a tracing of a tensor factor of A is proven,
+    with the margin of the state that failed; otherwise the face oracle,
+    which decides a rank-2 state with no iteration, answers."""
     if rho.rank() != 2:
         return None
     violation = twoqubit.rank2_violation(rho)
@@ -538,26 +541,20 @@ def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | 
 
 
 def _zcorr_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
-    """Z-correlated states: the closed form decides when y = 0; when y > 0
-    one grid search only builds a witness, for ``want_witness``."""
+    """Z-correlated states with y = 0: the closed form of ``twoqubit.zcorr_bound_y0``.
+    When y > 0 the two-qubit condition or the oracle decides."""
     found = twoqubit.zcorr_from_state(rho)
-    if found is None or (found[0].y > 1e-12 and not want_witness):
+    if found is None or found[0].y > 1e-12:
         return None
     z, u_a, u_b = found
     point = twoqubit.zcorr_feasible_point(z)
-    if z.y <= 1e-12:
-        margin, name = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4) - z.x, "zcorr-y0"
-    elif point is None:
-        return None
-    else:  # the slack of both coupling inequalities at the point
-        margin, name = min(twoqubit._zcorr_f(*point, z.p1, z.p4) - z.x,
-                           twoqubit._zcorr_h(*point, z.p2, z.p3) - z.y), "zcorr-grid"
     witness = None
     if point is not None and want_witness:
         local = np.kron(u_a, np.kron(u_b, u_b))
         canonical = twoqubit.zcorr_build_extension(z, *point).matrix
         witness = TripartiteExtension(linalg.dagger(local) @ canonical @ local, 2, 2, rho.matrix)
-    return _closed_form(point is not None, name, margin, witness, proven=name == "zcorr-y0")
+    margin = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4) - z.x
+    return _closed_form(point is not None, "zcorr-y0", margin, witness)
 
 
 def _two_qubit_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
@@ -574,11 +571,12 @@ def decide(rho: BipartiteState, opts: OracleOptions | None = None,
     """Decide whether ``rho`` has an extension of the requested symmetry.
 
     The first closed form that applies decides: pure state, positive coherent
-    information, rank 2, Z-correlated (y = 0), two qubits (Chen et al., PRA 90,
-    032318 (2014), when |margin| > TWO_QUBIT_BAND).  A closed-form "no" holds
-    in every mode; a "yes" in mode "any", and in mode "bosonic" with qubit B
-    after :func:`bosonic_from_symmetric`.  Any other "yes", and a state no
-    closed form decides, goes to :func:`find_symmetric_extension`.  With
+    information, rank 2 (a "yes" for qubit A only), Z-correlated (y = 0), two
+    qubits (Chen et al., PRA 90, 032318 (2014), when |margin| >
+    TWO_QUBIT_BAND).  A closed-form "no" holds in every mode; a "yes" in mode
+    "any", and in mode "bosonic" with qubit B after
+    :func:`bosonic_from_symmetric`.  Any other "yes", and a state no closed
+    form decides, goes to :func:`find_symmetric_extension`.  With
     ``want_witness`` a "yes" counts only with a witness that re-verifies at
     WITNESS_TOL and a "no" only when proven; otherwise the next step runs.
     """

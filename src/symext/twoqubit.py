@@ -5,8 +5,11 @@ spectrum condition (one null vector of a 4x4 real system), the
 purity/determinant extendibility test (proven by Chen, Ji, Kribs, Lutkenhaus
 and Zeng, PRA 90, 032318 (2014)), the rank-2 criterion and its split into two
 pure-extendible states (the roots of one quadratic), Bell-diagonal
-inequalities, the Z-correlated family, and the extremality classification of
-pure-extendible states.
+inequalities, the Z-correlated family with its y = 0 closed form, and the
+extremality classification of pure-extendible states.  ``oracle.decide``
+leaves what these forms do not settle (a rank-2 state with larger A that no
+tracing refutes, a Z-correlated state with y > 0) to the two-qubit condition
+and the oracle.
 """
 
 from __future__ import annotations
@@ -27,12 +30,7 @@ from .errors import (
     SpectrumMismatch,
     WrongRank,
 )
-from .states import (
-    BipartiteState,
-    TripartiteExtension,
-    random_invertible_filter,
-    spectrum_condition,
-)
+from .states import BipartiteState, TripartiteExtension, spectrum_condition
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -124,19 +122,12 @@ def _rank_le2_violation(mat: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9) 
     return lmax_b - lmax_ab if lmax_ab > lmax_b + tol else None
 
 
-RANK2_FILTER_PROBES = 32
-RANK2_PROBE_SEED = 20
-
-
 def _rank2_probes(rho: BipartiteState):
     """(matrix, d_a) of rho, then, for d_a > 2, of every rank<=2 tracing of a
-    tensor factor of A and of RANK2_FILTER_PROBES Alice-filtered copies of rho
-    (seeded with RANK2_PROBE_SEED): all
-    are 1-LOCC images, so the necessary conditions must survive on each."""
+    tensor factor of A: all are 1-LOCC images, so the necessary conditions
+    must survive on each."""
     mat = np.asarray(rho.matrix)
     yield mat, rho.d_a
-    if rho.d_a == 2:
-        return
     for m in range(2, rho.d_a):
         if rho.d_a % m:
             continue
@@ -146,11 +137,6 @@ def _rank2_probes(rho: BipartiteState):
                                 (np.einsum("iljIlJ->ijIJ", full).reshape(m * rho.d_b, m * rho.d_b), m)):
             if linalg.numerical_rank(reduced) <= 2:
                 yield reduced, d_left
-    rng = np.random.default_rng(RANK2_PROBE_SEED)
-    for _ in range(RANK2_FILTER_PROBES):
-        big = np.kron(random_invertible_filter(rho.d_a, rng), np.eye(rho.d_b))
-        out = big @ mat @ linalg.dagger(big)
-        yield out / np.trace(out).real, rho.d_a
 
 
 def rank2_violation(rho: BipartiteState) -> float | None:
@@ -161,7 +147,8 @@ def rank2_violation(rho: BipartiteState) -> float | None:
     For qubit A only rho itself is probed, and the verdict is exact: the
     state has a symmetric extension iff rank(rho_B) <= 2 and
     lambda_max(rho_AB) <= lambda_max(rho_B).  For larger A only a violation
-    is conclusive; None then means "no violation found", not a proof.
+    is conclusive (rho itself or a rank<=2 tracing of a tensor factor of A
+    fails); None then means "no violation found", not a proof.
     """
     if rho.rank() != 2:
         raise WrongRank(f"the rank-2 test needs a rank-2 state, got rank {rho.rank()}")
@@ -424,51 +411,21 @@ def zcorr_bound_y0(p1: float, p2: float, p3: float, p4: float) -> float:
     return _zcorr_y0(p1, p2, p3, p4)[0]
 
 
-def _zcorr_grid_search(z: ZCorrParams, grid: int = 200, refinements: int = 3):
-    """Best (s, t) for the two coupling inequalities, by grid + local refinement.
-
-    Returns (margin, s, t) maximizing min(f - x, h - y) over the admissible
-    rectangle s in [0, min(p3, p4)], t in [0, p2].
-    """
-    s_hi = min(z.p3, z.p4)
-    t_hi = z.p2
-    s_lo, t_lo = 0.0, 0.0
-    s_span, t_span = s_hi - s_lo, t_hi - t_lo
-    best = (-np.inf, 0.0, 0.0)
-    for level in range(refinements + 1):
-        s_vals = np.linspace(s_lo, s_hi, grid)
-        t_vals = np.linspace(t_lo, t_hi, grid)
-        ss, tt = np.meshgrid(s_vals, t_vals, indexing="ij")
-        margin = np.minimum(_zcorr_f(ss, tt, z.p1, z.p4) - z.x,
-                            _zcorr_h(ss, tt, z.p2, z.p3) - z.y)
-        k = int(np.argmax(margin))
-        i, j = divmod(k, grid)
-        if margin[i, j] > best[0]:
-            best = (float(margin[i, j]), float(ss[i, j]), float(tt[i, j]))
-        # shrink a 10x smaller window around the incumbent
-        s_span /= 10.0
-        t_span /= 10.0
-        s_lo = min(max(best[1] - s_span / 2.0, 0.0), min(z.p3, z.p4))
-        s_hi = min(best[1] + s_span / 2.0, min(z.p3, z.p4))
-        t_lo = min(max(best[2] - t_span / 2.0, 0.0), z.p2)
-        t_hi = min(best[2] + t_span / 2.0, z.p2)
-    return best
-
-
 def zcorr_feasible_point(z: ZCorrParams) -> tuple[float, float] | None:
-    """An (s, t) witness satisfying both coupling inequalities, or None."""
-    if z.x <= 1e-12 and z.y <= 1e-12:
+    """An (s, t) witness satisfying both coupling inequalities when y = 0, or
+    None when x exceeds :func:`zcorr_bound_y0`.  Raises PreconditionFailed for
+    y > 0, where no closed form is known (the two-qubit condition decides)."""
+    if z.y > 1e-12:
+        raise PreconditionFailed("the Z-correlated closed form needs y = 0")
+    if z.x <= 1e-12:
         return (0.0, 0.0)
-    if z.y <= 1e-12:
-        bound, s, t = _zcorr_y0(z.p1, z.p2, z.p3, z.p4)
-        return None if z.x > bound + 1e-9 else (float(s), float(min(t, z.p2)))
-    margin, s, t = _zcorr_grid_search(z)
-    return (s, t) if margin >= -1e-9 else None
+    bound, s, t = _zcorr_y0(z.p1, z.p2, z.p3, z.p4)
+    return None if z.x > bound + 1e-9 else (float(s), float(min(t, z.p2)))
 
 
 def zcorr_extendible(z: ZCorrParams) -> bool:
-    """Whether :func:`zcorr_feasible_point` finds a witness point (exact closed
-    form when y = 0, a refined grid search otherwise)."""
+    """Exact extendibility of a Z-correlated state with y = 0 (see
+    :func:`zcorr_feasible_point`)."""
     return zcorr_feasible_point(z) is not None
 
 

@@ -175,28 +175,25 @@ class TestExtendCommand:
         assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
 
     @pytest.mark.parametrize("relabel", [False, True])
-    def test_extend_zcorr_witness(self, tmp_path, capsys, monkeypatch, relabel):
-        searches = []
-        grid_search = twoqubit._zcorr_grid_search
-        monkeypatch.setattr(twoqubit, "_zcorr_grid_search", lambda z: searches.append(z) or grid_search(z))
-        for z, method in ((twoqubit.ZCorrParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.0), "zcorr-y0"),
-                          (twoqubit.ZCorrParams(0.4, 0.3, 0.1, 0.2, 0.15, 0.05), "zcorr-grid")):
+    def test_extend_zcorr_witness(self, tmp_path, capsys, relabel):
+        # y = 0 has the closed-form witness; y > 0 has none and the oracle builds it
+        for z, method in ((twoqubit.ZCorrParams(0.4, 0.3, 0.2, 0.1, 0.15, 0.0), "closed-form(zcorr-y0)"),
+                          (twoqubit.ZCorrParams(0.4, 0.3, 0.1, 0.2, 0.15, 0.05), "oracle(any)")):
             mat = z.matrix()
             if relabel:  # X (x) X copy with a negative x
                 xx = np.kron(twoqubit.SX, twoqubit.SX)
                 mat = xx @ mat @ xx
                 mat[0, 3] = mat[3, 0] = -z.x
             rho = states.BipartiteState(mat, 2, 2)
-            searches.clear()
             result = decide(rho, want_witness=True)
-            assert result.method == f"closed-form({method})"
+            assert result.method == method
+            assert result.proven == (not z.y)
             assert states.is_symmetric_extension(result.witness, rho, tol=1e-7)
-            assert len(searches) == (1 if z.y else 0)
             state_path = str(tmp_path / "zcorr.json")
             ext_path = str(tmp_path / "ext.json")
             io.save_state(state_path, rho)
             assert main(["extend", state_path, "-o", ext_path]) == EXIT_YES
-            assert f"method: closed-form({method})" in capsys.readouterr().out
+            assert f"method: {method}" in capsys.readouterr().out
             assert main(["verify-extension", ext_path, state_path]) == EXIT_YES
 
     def test_extend_honours_symmetry(self, tmp_path, rng, capsys):
@@ -387,3 +384,19 @@ class TestScanCommand:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "bell", "--symmetry", "bosonic"])
         assert exc.value.code == EXIT_INVALID
+
+    @pytest.mark.parametrize("action,flags,unread", [("choi", ["--tol", "-5"], "--tol"),
+                                                     ("choi", ["--json"], "--json"),
+                                                     ("complement", ["--symmetry", "fermionic"], "--symmetry"),
+                                                     ("complement", ["--symmetry", "any"], "--symmetry"),
+                                                     ("classify", ["-o", "{out}"], "--output")])
+    def test_channel_unread_flag_rejected(self, tmp_path, capsys, action, flags, unread):
+        # classify reads --symmetry, --tol and --json; choi and complement read -o
+        path = tmp_path / "damp.json"
+        path.write_text(DAMPING)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", action, str(path)] + [f.format(out=out) for f in flags])
+        assert exc.value.code == EXIT_INVALID
+        assert f"channel {action} does not read {unread}" in capsys.readouterr().err
+        assert not out.exists()

@@ -453,20 +453,45 @@ class TestFace:
             result = find_symmetric_extension(rho)
             assert result.feasible and result.iterations == 0
             assert_backed(result, rho)
+        # traced rank-2 states with qutrit and ququart A: the rank-2 step has
+        # no "yes" for them, and decide's oracle builds the witness
+        for d_a in (3, 4):
+            for _ in range(3):
+                rho = traced_symmetric_state(rng, d_a, 2)
+                assert rho.rank() == 2
+                for symmetry in ("any", "bosonic"):
+                    result = decide(rho, OracleOptions(symmetry=symmetry), want_witness=True)
+                    assert result.method == f"oracle({symmetry})"
+                    assert result.feasible and result.iterations == 0
+                    assert_backed(result, rho)
 
     def test_one_point_no(self, rng):
-        refuted = 0
-        for _ in range(12):
-            rho = random_rank2_state(rng)
-            if twoqubit.rank2_condition(rho):
-                continue
-            face = face_of(rho)
-            assert face.s.size == face.m.shape[1]
-            result = find_symmetric_extension(rho)
-            assert result.iterations == 0 and result.residual > 0.0
-            assert_backed(result, rho)
-            refuted += 1
-        assert refuted >= 2
+        # rank-2 states have a one-point face; with qutrit and ququart A the
+        # rank-2 step refutes only what a tracing of a factor of A exposes,
+        # and decide leaves the rest to the face
+        for d_a in (2, 3, 4):
+            refuted = unrefuted_by_tracing = 0
+            for _ in range(12):
+                rho = random_rank2_state(rng, d_a, 2)
+                if d_a == 2 and twoqubit.rank2_condition(rho):
+                    continue
+                face = face_of(rho)
+                assert face.s.size == face.m.shape[1]
+                result = find_symmetric_extension(rho)
+                assert result.iterations == 0
+                assert_backed(result, rho)
+                if result.feasible:
+                    continue
+                assert result.residual > 0.0
+                refuted += 1
+                if twoqubit.rank2_violation(rho) is None:
+                    unrefuted_by_tracing += 1
+                    for want_witness in (False, True):
+                        verdict = decide(rho, want_witness=want_witness)
+                        assert verdict.method == "oracle(any)" and verdict.iterations == 0
+                        assert_backed(verdict, rho)
+            assert refuted >= 2
+            assert unrefuted_by_tracing >= (2 if d_a > 2 else 0)
 
     def test_face_iteration(self, rng):
         # rank-3 two-qubit states: a face of 4x4 blocks and 9 constraints;

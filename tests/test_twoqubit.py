@@ -19,6 +19,7 @@ from symext.errors import (
     SpectrumMismatch,
     WrongRank,
 )
+from symext.oracle import decide, verify_infeasibility_certificate
 from symext.states import BipartiteState, pure_state
 from symext.twoqubit import (
     BELL,
@@ -154,11 +155,19 @@ class TestRank2:
         assert abs(twoqubit.rank2_violation(rho) + 0.25) < 1e-15  # -lambda_3(rho_B)
 
     def test_violation_is_a_negative_margin(self, rng):
-        samples = [gallery.qutrit_qubit()] + [random_rank2_state(rng, d_a, d_b)
-                                              for d_a in (2, 3, 4) for d_b in (2, 3) for _ in range(10)]
+        samples = [gallery.two_qubit_with_ancilla()] + [random_rank2_state(rng, d_a, d_b)
+                                                        for d_a in (2, 3, 4) for d_b in (2, 3) for _ in range(10)]
         violations = [twoqubit.rank2_violation(rho) for rho in samples]
         assert violations[0] < 0
         assert all(v is None or v < 0 for v in violations)
+        # the paper's 3x2 example fails no tracing; the face oracle refutes it
+        # with no iteration
+        rho = gallery.qutrit_qubit()
+        assert twoqubit.rank2_violation(rho) is None
+        result = decide(rho)
+        assert result.method == "oracle(any)" and result.infeasible and result.proven
+        assert result.iterations == 0 and result.residual == pytest.approx(5 / 6)
+        assert verify_infeasibility_certificate(result.certificate, rho)
 
     def test_wrong_rank(self, rng, maximally_mixed):
         with pytest.raises(WrongRank):
@@ -344,9 +353,7 @@ class TestZCorrelated:
             p1 = probs[0]
             rest = rng.permutation(probs[1:])
             x_max = np.sqrt(p1 * rest[2])
-            y_max = np.sqrt(rest[0] * rest[1])
-            z = ZCorrParams(p1, *rest, x=float(rng.uniform(0, x_max)),
-                            y=float(rng.uniform(0, y_max)))
+            z = ZCorrParams(p1, *rest, x=float(rng.uniform(0, x_max)), y=0.0)
             if not twoqubit.zcorr_extendible(z):
                 continue
             point = twoqubit.zcorr_feasible_point(z)
@@ -355,21 +362,31 @@ class TestZCorrelated:
             assert states.is_symmetric_extension(ext, z.state(), tol=1e-8)
             built += 1
 
-    def test_grid_matches_oracle_verdicts(self, rng):
-        from symext.oracle import find_symmetric_extension
-        for _ in range(10):
+    def test_y_positive_left_to_decide(self, rng):
+        # no closed form for y > 0: decide answers by the two-qubit condition
+        # or, for a witness, by the oracle
+        with pytest.raises(PreconditionFailed):
+            twoqubit.zcorr_feasible_point(ZCorrParams(0.4, 0.3, 0.1, 0.2, 0.15, 0.05))
+        compared = 0
+        for _ in range(20):
             probs = np.sort(rng.dirichlet([1, 1, 1, 1]))[::-1]
             p1 = probs[0]
             rest = rng.permutation(probs[1:])
             z = ZCorrParams(p1, *rest,
                             x=float(rng.uniform(0, np.sqrt(p1 * rest[2]))),
                             y=float(rng.uniform(0, np.sqrt(rest[0] * rest[1]))))
-            verdict = twoqubit.zcorr_extendible(z)
-            result = find_symmetric_extension(z.state())
+            rho = z.state()
+            result = decide(rho, want_witness=True)
+            assert not result.method.startswith("closed-form(zcorr")
+            margin = twoqubit.conjecture_margin(rho)
+            if abs(margin) > 1e-4:
+                assert result.feasible == (margin > 0)
+                compared += 1
             if result.feasible:
-                assert verdict
-            elif result.infeasible:
-                assert not verdict
+                assert states.is_symmetric_extension(result.witness, rho, tol=1e-7)
+            else:
+                assert result.infeasible and result.proven
+        assert compared >= 15
 
 
 class TestClassifyPureExtendible:
