@@ -389,7 +389,9 @@ class TestScanCommand:
                                                      ("choi", ["--json"], "--json"),
                                                      ("complement", ["--symmetry", "fermionic"], "--symmetry"),
                                                      ("complement", ["--symmetry", "any"], "--symmetry"),
-                                                     ("classify", ["-o", "{out}"], "--output")])
+                                                     ("classify", ["-o", "{out}"], "--output")],
+                             ids=["choi-tol", "choi-json", "complement-symmetry", "complement-symmetry-any",
+                                  "classify-output"])
     def test_channel_unread_flag_rejected(self, tmp_path, capsys, action, flags, unread):
         # classify reads --symmetry, --tol and --json; choi and complement read -o
         path = tmp_path / "damp.json"
