@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .channels import (
     complementary_channel,
 )
 from .errors import OutOfRange, SymextError
-from .oracle import Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
+from .oracle import WITNESS_TOL, Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -70,18 +71,16 @@ class Verdict:
 
 
 def _oracle_options(args) -> OracleOptions:
-    kwargs = {"symmetry": getattr(args, "symmetry", None) or "any"}
-    if args.tol is not None:
-        kwargs["tol_feasible"] = args.tol
-    try:
-        return OracleOptions(**kwargs)
-    except ValueError as exc:
-        raise OutOfRange(f"--tol: {exc}") from exc
+    return OracleOptions(symmetry=args.symmetry or "any")
 
 
 def _witness_tol(args) -> float:
-    """Witness re-verification tolerance: --tol, checked like the oracle's, else 1e-7."""
-    return 1e-7 if args.tol is None else _oracle_options(args).tol_feasible
+    """Witness re-verification tolerance: --tol, a finite number in (0, 1), else WITNESS_TOL."""
+    if args.tol is None:
+        return WITNESS_TOL
+    if not (math.isfinite(args.tol) and 0.0 < args.tol < 1.0):
+        raise OutOfRange(f"--tol must lie in (0, 1), got {args.tol!r}")
+    return args.tol
 
 
 def _verdict(result: FeasibilityResult) -> Verdict:
@@ -115,7 +114,7 @@ def cmd_extend(args) -> int:
 
     io.save_extension(args.output, result.witness)
     reloaded = io.load_extension(args.output, rho)
-    if not states.is_symmetric_extension(reloaded, rho, tol=_witness_tol(args)):
+    if not states.is_symmetric_extension(reloaded, rho, tol=WITNESS_TOL):
         print("error: witness failed re-verification after write", file=sys.stderr)
         return EXIT_INVALID
     Verdict("symmetric extension", "yes", result.method, result.proven,
@@ -137,7 +136,7 @@ def cmd_verify_extension(args) -> int:
 
 # the flags each `channel` action reads; argparse cannot tie an option to a
 # positional choice, so main rejects the others with exit code 2
-CHANNEL_FLAGS = {"classify": ("symmetry", "tol", "json"), "choi": ("output",), "complement": ("output",)}
+CHANNEL_FLAGS = {"classify": ("symmetry", "json"), "choi": ("output",), "complement": ("output",)}
 
 
 def cmd_channel(args) -> int:
@@ -282,10 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetric extendibility of bipartite states and channel degradability")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, symmetry=True):
-        if symmetry:
-            p.add_argument("--symmetry", choices=["any", "bosonic", "fermionic"], default="any")
-        p.add_argument("--tol", type=float, default=None)
+    def common(p):
+        p.add_argument("--symmetry", choices=["any", "bosonic", "fermionic"], default="any")
         p.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="decide symmetric extendibility of a state file")
@@ -303,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-extension", help="verify an extension file against a state file")
     p_ver.add_argument("ext_file")
     p_ver.add_argument("state_file")
-    common(p_ver, symmetry=False)
+    p_ver.add_argument("--tol", type=float, default=None)
+    p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify_extension)
 
     p_ch = sub.add_parser("channel", help="channel tools: classify, choi, complement")
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--steps", type=_count, default=50)
     p_scan.add_argument("--samples", type=_count, default=200)
     p_scan.add_argument("--csv", default=None)
-    p_scan.add_argument("--seed", type=int, default=7)
+    p_scan.add_argument("--seed", type=_count, default=7)
     p_scan.set_defaults(func=cmd_scan)
     return parser
 
@@ -336,7 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "channel":
-        unread = [f"--{dest}" for dest in ("symmetry", "tol", "json", "output")
+        unread = [f"--{dest}" for dest in ("symmetry", "json", "output")
                   if getattr(args, dest) is not None and dest not in CHANNEL_FLAGS[args.action]]
         if unread:
             parser.error(f"channel {args.action} does not read {', '.join(unread)}")

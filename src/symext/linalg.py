@@ -22,6 +22,9 @@ ZERO_CUTOFF = 1e-9
 # Default relative Frobenius tolerance for "is Hermitian" checks.
 HERMITICITY_TOL = 1e-10
 
+# A density matrix may have eigenvalues down to -EIGENVALUE_TOL.
+EIGENVALUE_TOL = 1e-9
+
 ComplexMatrix = np.ndarray
 
 
@@ -203,13 +206,13 @@ def state_defect(rho: ComplexMatrix) -> tuple[float, float, float]:
 
 
 def is_density_matrix(rho: ComplexMatrix, herm_tol: float = HERMITICITY_TOL,
-                      eig_tol: float = 1e-9, trace_tol: float = 1e-9) -> bool:
+                      eig_tol: float = EIGENVALUE_TOL, trace_tol: float = 1e-9) -> bool:
     herm_defect, min_eig, trace_err = state_defect(rho)
     return herm_defect <= herm_tol and min_eig >= -eig_tol and trace_err <= trace_tol
 
 
 def validate_state(rho: ComplexMatrix, name: str = "matrix",
-                   eig_tol: float = 1e-9, trace_tol: float = 1e-9) -> np.ndarray:
+                   eig_tol: float = EIGENVALUE_TOL, trace_tol: float = 1e-9) -> np.ndarray:
     """Return ``rho`` as complex128 or raise NotAState with the failing check."""
     a = as_matrix(rho)
     herm_defect, min_eig, trace_err = state_defect(a)

@@ -21,23 +21,26 @@ check has a margin of CERTIFICATE_MARGIN * ||W||_F and is re-run from scratch
 by :func:`verify_infeasibility_certificate`.  A run that stalls or hits the
 iteration cap without either certificate comes back Undecided.
 
-A rank-deficient rho is decided on its face first.  With R an orthonormal
-basis of its range, every extension lives on (R (x) H_B') within the sectors
-S keeps: for v in ker rho, tr((|v><v| (x) I) sigma) = <v|rho|v> = 0.  There
-sigma = sum_s F_s Y_s F_s^dag and the reduction constraint is one small
-matrix M, factored once.  An empty face, an empty affine set and a face
-affine set of one point are decided with no iteration; otherwise
-Douglas-Rachford runs on the blocks Y_s.  A face "no" is a dual witness W0 on
-the range, lifted to W = R W0 R^dag + t (I - R R^dag); it and a face witness
-are re-verified like any other, and a face run that ends with neither falls
-through to the full-space iteration.
+A rank-deficient rho is decided on its face, and only there.  With R an
+orthonormal basis of its range, every extension lives on (R (x) H_B') within
+the sectors S keeps: for v in ker rho, tr((|v><v| (x) I) sigma) = <v|rho|v> = 0
+(Drusvyatskiy and Wolkowicz, "The many faces of degeneracy in conic
+optimization", 2017).  There sigma = sum_s F_s Y_s F_s^dag and the reduction
+constraint is one small matrix M, factored once.  An empty face, an empty
+affine set and a face affine set of one point are decided with no iteration;
+otherwise Douglas-Rachford runs on the blocks Y_s.  A face witness is
+rescaled to unit trace (the mass of rho under the zero cut lies off the
+face); a face "no" is a dual witness W0 on the range, lifted to
+W = R W0 R^dag + t (I - R R^dag); both are re-verified like any other.  The
+full-space iteration runs only for a full-rank rho and for a face whose M
+has more than MAX_FACE_ENTRIES entries, so every call runs at most one
+Douglas-Rachford loop.
 
 :func:`decide` is the decision pipeline: the closed forms in a fixed order, this oracle last.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -94,25 +97,23 @@ class Feasibility(Enum):
 
 @dataclass(frozen=True)
 class OracleOptions:
-    """Tuning knobs for the feasibility iteration.
+    """The extension the oracle asks for.
 
     ``symmetry`` selects plain swap invariance ("any") or support on the
     symmetric/antisymmetric subspace ("bosonic"/"fermionic").  The iteration
-    ends Feasible once the constraint residual drops to ``tol_feasible`` and
-    the witness re-verifies, and Infeasible once a dual certificate verifies
-    (checked every CERTIFY_EVERY iterations, margin CERTIFICATE_MARGIN).
-    It gives up Undecided when the residual has stopped improving (see
-    STALL_WINDOW and STALL_IMPROVEMENT) or after MAX_ITERATIONS.
+    ends Feasible once the negative-eigenvalue mass of its affine point is
+    within ``linalg.EIGENVALUE_TOL`` and the witness re-verifies, and
+    Infeasible once a dual certificate verifies (checked every CERTIFY_EVERY
+    iterations, margin CERTIFICATE_MARGIN).  It gives up Undecided when the
+    residual has stopped improving (see STALL_WINDOW and STALL_IMPROVEMENT)
+    or after MAX_ITERATIONS.
     """
 
     symmetry: str = "any"
-    tol_feasible: float = 1e-9
 
     def __post_init__(self):
         if self.symmetry not in SYMMETRIES:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
-        if not (math.isfinite(self.tol_feasible) and 0.0 < self.tol_feasible < 1.0):
-            raise ValueError(f"tol_feasible must lie in (0, 1), got {self.tol_feasible!r}")
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,16 @@ class FeasibilityResult:
     form, spectra matching to 1e-8), so a "yes" may print a margin such as
     -2.2e-16.  ``stop_reason`` says why the oracle stopped:
     "converged", "certified", "stalled", "iteration-cap", "support" (the
-    state is outside the reductions the symmetry mode can reach) or
-    "witness-rejected"; it is None for closed-form verdicts.  ``iterations``
-    counts Douglas-Rachford iterations; a face exit of a rank-deficient state
-    reports 0 with ``residual`` the negative-eigenvalue mass of the face's
-    one affine point, or the distance ||e|| of the face's affine set from the
-    constraint when that set is empty (the whole face being empty included).
+    state is outside the reductions the symmetry mode can reach; Undecided
+    if its certificate fails to verify), "witness-rejected" or
+    "certificate-rejected" (a face's one affine point is not PSD and the dual
+    witness of its negative part fails to verify); it is None for closed-form
+    verdicts.  ``iterations`` counts the iterations of the one
+    Douglas-Rachford loop that ran, on the face or on the full space; a face
+    exit of a rank-deficient state reports 0 with ``residual`` the
+    negative-eigenvalue mass of the face's one affine point, or the distance
+    ||e|| of the face's affine set from the constraint when that set is
+    empty (the whole face being empty included).
     """
 
     status: Feasibility
@@ -164,7 +169,7 @@ class _ExtensionGeometry:
     """
 
     def __init__(self, d_a: int, d_b: int, symmetry: str):
-        self.d_a, self.d_b = d_a, d_b
+        self.d_a, self.d_b, self.symmetry = d_a, d_b, symmetry
         self.perm = linalg.swap_permutation(d_a, d_b)
         self.parity = {"any": 0, "bosonic": 1, "fermionic": -1}[symmetry]
         # C = c0 (Id - E) + c1 E, summed over the parity sectors S allows.
@@ -225,8 +230,10 @@ class _ExtensionGeometry:
         lam = np.linalg.eigvalsh(self.lift(w))[0]
         return self.d_b * max(0.0, -float(lam))
 
-    def shifted(self, w: np.ndarray) -> np.ndarray:
-        return w + self.certificate_shift(w) * np.eye(w.shape[0])
+    def certified(self, w: np.ndarray, rho: BipartiteState) -> np.ndarray | None:
+        """W + mu I if :func:`verify_infeasibility_certificate` accepts it for ``rho``, else None."""
+        cert = w + self.certificate_shift(w) * np.eye(w.shape[0])
+        return cert if verify_infeasibility_certificate(cert, rho, self.symmetry) else None
 
 
 def verify_infeasibility_certificate(w: np.ndarray, rho: BipartiteState, symmetry: str = "any") -> bool:
@@ -254,10 +261,12 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
     """Decide whether ``rho`` admits a symmetric extension of its B system.
 
     Douglas-Rachford iteration between the PSD cone and the affine constraint
-    set, on the face of a rank-deficient ``rho`` first (see the module
-    docstring).  The residual is the negative-eigenvalue mass of the
-    affine-feasible iterate; it converges to zero exactly when an extension
-    exists and to the distance between the two constraint sets otherwise.
+    set, on the face of a rank-deficient ``rho`` (see the module docstring)
+    and on the full space otherwise; the verdict of the route taken is
+    returned, Undecided included.  The residual is the negative-eigenvalue
+    mass of the affine-feasible iterate; it converges to zero exactly when an
+    extension exists and to the distance between the two constraint sets
+    otherwise.
     """
     opts = opts or OracleOptions()
     d_a, d_b = rho.d_a, rho.d_b
@@ -273,31 +282,24 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
         # No Hermitian operator with the required support reduces to rho, PSD
         # or not.  S(W (x) I) vanishes for W = -(rho - C C^+ rho), whose
         # trace against rho is -bad**2.
-        cert = geom.shifted(-unreachable)
-        certified = verify_infeasibility_certificate(cert, rho, opts.symmetry)
+        cert = geom.certified(-unreachable, rho)
         return FeasibilityResult(
-            Feasibility.INFEASIBLE if certified else Feasibility.UNDECIDED, None, bad, 0,
+            Feasibility.UNDECIDED if cert is None else Feasibility.INFEASIBLE, None, bad, 0,
             method=f"oracle({opts.symmetry}-support)",
-            certificate=cert if certified else None, stop_reason="support", proven=certified)
+            certificate=cert, stop_reason="support", proven=cert is not None)
 
-    spent = 0
     lam, range_basis = linalg.support(target)
     if lam.size < target.shape[0]:
-        face = _decide_on_face(rho, geom, range_basis, opts, method)
-        if face is not None and face.status is not Feasibility.UNDECIDED:
-            return face
-        spent = face.iterations if face is not None else 0
-
-    def certify(step: np.ndarray) -> np.ndarray | None:
-        cert = geom.shifted(geom.dual_candidate(step))
-        return cert if verify_infeasibility_certificate(cert, rho, opts.symmetry) else None
+        bases = _face_bases(geom, range_basis)
+        if lam.size ** 2 * sum(f.shape[1] ** 2 for f in bases) <= MAX_FACE_ENTRIES:
+            return _decide_on_face(_Face(rho, geom, range_basis, bases), method)
 
     # Starting in the range of S keeps every iterate there: the PSD part of an
     # S-invariant matrix is S-invariant.
     outcome = _douglas_rachford(geom.lift(target), lambda z: geom.project_affine(z, target),
-                                np.linalg.eigvalsh, _psd_part, certify, opts.tol_feasible)
-    result = _loop_result(outcome, rho, method, lambda x: x)
-    return replace(result, iterations=result.iterations + spent)
+                                np.linalg.eigvalsh, _psd_part,
+                                lambda step: geom.certified(geom.dual_candidate(step), rho))
+    return _loop_result(outcome, rho, method, lambda x: x)
 
 
 def _negative_mass(vals: np.ndarray) -> float:
@@ -310,7 +312,7 @@ def _psd_part(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
 
 
-def _douglas_rachford(z, project, eigvalsh, psd_part, certify, tol: float):
+def _douglas_rachford(z, project, eigvalsh, psd_part, certify):
     """Douglas-Rachford iteration from ``z`` between an affine set and the PSD cone.
 
     ``project`` is the projection onto the affine set, ``eigvalsh`` the spectrum
@@ -318,8 +320,9 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify, tol: float):
     CERTIFY_EVERY iterations the step difference goes to ``certify``, which
     returns a verified infeasibility certificate or None.  Returns
     (stop_reason, found, residual, iterations): "converged" with the affine
-    point whose residual fell to ``tol``, "certified" with the certificate, or
-    "stalled" / "iteration-cap" with None and the best residual.
+    point whose residual fell to ``linalg.EIGENVALUE_TOL``, "certified" with
+    the certificate, or "stalled" / "iteration-cap" with None and the best
+    residual.
     """
     # The raw residual wobbles (it can bump up right before the final plunge
     # of a feasible run), so stall detection tracks the monotone running best.
@@ -330,7 +333,7 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify, tol: float):
         res = _negative_mass(eigvalsh(x))
         best = min(best, res)
         best_history.append(best)
-        if res <= tol:
+        if res <= linalg.EIGENVALUE_TOL:
             return "converged", x, res, it
         psd = psd_part(2.0 * x - z)
         if it % CERTIFY_EVERY == 0:
@@ -347,26 +350,20 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify, tol: float):
 
 
 def _loop_result(outcome, rho: BipartiteState, method: str, extension) -> FeasibilityResult:
-    """The verdict of a :func:`_douglas_rachford` outcome; ``extension`` maps its
-    affine point to a matrix on A B B'."""
+    """The verdict of a :func:`_douglas_rachford` outcome or a face exit; ``extension``
+    maps its affine point to a matrix on A B B', which must re-verify at WITNESS_TOL."""
     reason, found, res, it = outcome
     if reason == "converged":
-        return _verified_feasible(extension(found), rho, res, it, method)
-    if reason == "certified":
+        x = extension(found)
+        if linalg.is_density_matrix(x):
+            witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
+            if is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
+                return FeasibilityResult(Feasibility.FEASIBLE, witness, res, it, method, stop_reason=reason)
+        reason = "witness-rejected"
+    elif reason == "certified":
         return FeasibilityResult(Feasibility.INFEASIBLE, None, res, it, method,
                                  certificate=found, stop_reason=reason, proven=True)
     return FeasibilityResult(Feasibility.UNDECIDED, None, res, it, method, stop_reason=reason)
-
-
-def _verified_feasible(x: np.ndarray, rho: BipartiteState, res: float, iterations: int,
-                       method: str) -> FeasibilityResult:
-    if linalg.is_density_matrix(x):
-        witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
-        if is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
-            return FeasibilityResult(Feasibility.FEASIBLE, witness, res, iterations, method,
-                                     stop_reason="converged")
-    return FeasibilityResult(Feasibility.UNDECIDED, None, res, iterations, method,
-                             stop_reason="witness-rejected")
 
 
 class _Face:
@@ -380,8 +377,8 @@ class _Face:
     """
 
     def __init__(self, rho: BipartiteState, geom: _ExtensionGeometry, range_basis: np.ndarray,
-                 bases: list[np.ndarray], symmetry: str):
-        self.rho, self.geom, self.symmetry = rho, geom, symmetry
+                 bases: list[np.ndarray]):
+        self.rho, self.geom = rho, geom
         self.range, self.bases = range_basis, bases
         n, r = range_basis.shape
         self.sizes = [f.shape[1] for f in bases]
@@ -402,7 +399,11 @@ class _Face:
         return [y[lo:hi].reshape(k, k) for lo, hi, k in zip(self.offsets, self.offsets[1:], self.sizes)]
 
     def extension(self, y: np.ndarray) -> np.ndarray:
-        return sum(f @ blk @ f.conj().T for f, blk in zip(self.bases, self.blocks(y)))
+        """sigma = sum_s F_s Y_s F_s^dag at unit trace: the mass of rho under the
+        zero cut lies off the face, and an affine point misses it."""
+        sigma = sum(f @ blk @ f.conj().T for f, blk in zip(self.bases, self.blocks(y)))
+        trace = np.trace(sigma).real
+        return sigma / trace if trace > 0.0 else sigma
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {M y = U U^dag b}."""
@@ -438,8 +439,8 @@ class _Face:
         on_range = self.range @ w0 @ linalg.dagger(self.range)
         kernel = np.eye(on_range.shape[0]) - self.range @ linalg.dagger(self.range)
         for t in (0.0, *(4.0 ** j for j in range(7))):
-            cert = self.geom.shifted(on_range + t * scale * kernel)
-            if verify_infeasibility_certificate(cert, self.rho, self.symmetry):
+            cert = self.geom.certified(on_range + t * scale * kernel, self.rho)
+            if cert is not None:
                 return cert
         return None
 
@@ -459,38 +460,27 @@ def _face_bases(geom: _ExtensionGeometry, range_basis: np.ndarray) -> list[np.nd
     return bases
 
 
-def _decide_on_face(rho: BipartiteState, geom: _ExtensionGeometry, range_basis: np.ndarray,
-                    opts: OracleOptions, method: str) -> FeasibilityResult | None:
-    """Decide a rank-deficient ``rho`` on its face; None, or an Undecided result
-    with the iterations spent, sends it on to the full-space iteration."""
-    r = range_basis.shape[1]
-    bases = _face_bases(geom, range_basis)
-    if r * r * sum(f.shape[1] ** 2 for f in bases) > MAX_FACE_ENTRIES:
-        return None
-    face = _Face(rho, geom, range_basis, bases, opts.symmetry)
-
-    def refuted(cert: np.ndarray | None, residual: float) -> FeasibilityResult | None:
-        return None if cert is None else FeasibilityResult(
-            Feasibility.INFEASIBLE, None, residual, 0, method, certificate=cert,
-            stop_reason="certified", proven=True)
-
+def _decide_on_face(face: _Face, method: str) -> FeasibilityResult:
+    """Decide a rank-deficient rho on its face, by an exit or by one Douglas-Rachford loop."""
     # The least-squares residual e has A*(e) = 0 and tr(e rho) = -||e||^2; on an
     # empty face (sigma = 0, whose trace is not 1) it is -R^dag rho R.
     e = face.m @ face.y0 - face.b
-    refutation = refuted(face.certificate(e.reshape(r, r)), linalg.frobenius(e))
-    if refutation is not None:
-        return refutation
-    if face.s.size < face.m.shape[1]:
-        outcome = _douglas_rachford(face.y0, face.project, face.eigvalsh, face.psd_part,
-                                    face.certify, opts.tol_feasible)
-        return _loop_result(outcome, rho, method, face.extension)
-    # One point Y0: the witness if it is PSD; otherwise the dual candidate of its
-    # step difference, the negative part N of Y0, solves M^dag W0 = N with
-    # tr(W0 rho) = -||N||^2.
-    res = _negative_mass(face.eigvalsh(face.y0))
-    if res <= opts.tol_feasible:
-        return _verified_feasible(face.extension(face.y0), rho, res, 0, method)
-    return refuted(face.certify(face.y0 - face.psd_part(face.y0)), res)
+    cert = face.certificate(e.reshape(face.range.shape[1], -1))
+    if cert is not None:
+        outcome = ("certified", cert, linalg.frobenius(e), 0)
+    elif face.s.size < face.m.shape[1]:
+        outcome = _douglas_rachford(face.y0, face.project, face.eigvalsh, face.psd_part, face.certify)
+    else:
+        # One point Y0: the witness if it is PSD; otherwise the dual candidate of
+        # its step difference, the negative part N of Y0, solves M^dag W0 = N
+        # with tr(W0 rho) = -||N||^2.
+        res = _negative_mass(face.eigvalsh(face.y0))
+        if res <= linalg.EIGENVALUE_TOL:
+            outcome = ("converged", face.y0, res, 0)
+        else:
+            cert = face.certify(face.y0 - face.psd_part(face.y0))
+            outcome = ("certificate-rejected" if cert is None else "certified", cert, res, 0)
+    return _loop_result(outcome, face.rho, method, face.extension)
 
 
 def _closed_form(ok: bool, name: str, margin: float,

@@ -133,17 +133,28 @@ class TestCheckCommand:
         assert payload["proven"] is True
         assert payload["stop_reason"] == "certified"
 
-    def test_loose_tol_accepted(self, bell_file, mixed_file):
-        assert main(["check", bell_file, "--method", "oracle", "--tol", "1e-3"]) == EXIT_NO
-        assert main(["check", mixed_file, "--method", "oracle", "--tol", "1e-3"]) == EXIT_YES
+    @pytest.mark.parametrize("argv", [["check", "{state}"], ["extend", "{state}", "-o", "{out}"],
+                                      ["channel", "classify", "{kraus}"], ["channel", "choi", "{kraus}"]],
+                             ids=["check", "extend", "channel-classify", "channel-choi"])
+    def test_tol_only_on_verify_extension(self, mixed_file, tmp_path, capsys, argv):
+        # the oracle has no convergence knob; --tol sets verify-extension's tolerance only
+        kraus = tmp_path / "damp.json"
+        kraus.write_text(DAMPING)
+        out = tmp_path / "ext.json"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(state=mixed_file, kraus=kraus, out=out) for a in argv] + ["--tol", "1e-3"])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["0", "-1e-9", "1", "nan", "inf"])
     def test_bad_tol_is_invalid_input(self, mixed_file, tmp_path, capsys, tol):
-        assert main(["check", mixed_file, f"--tol={tol}"]) == EXIT_INVALID
-        assert capsys.readouterr().err.startswith("error:")
         ext_path = str(tmp_path / "ext.json")
         assert main(["extend", mixed_file, "-o", ext_path]) == EXIT_YES
+        capsys.readouterr()
         assert main(["verify-extension", ext_path, mixed_file, f"--tol={tol}"]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestExtendCommand:
@@ -374,7 +385,8 @@ class TestScanCommand:
 
     @pytest.mark.parametrize("argv", [["scan", "werner", "--steps", "-1"], ["scan", "bell", "--steps", "-2"],
                                       ["gallery", "werner", "--steps", "-1"],
-                                      ["scan", "zcorr", "--samples", "-3"]])
+                                      ["scan", "zcorr", "--samples", "-3"],
+                                      ["scan", "zcorr", "--seed", "-1", "--samples", "2"]])
     def test_negative_count_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -385,15 +397,14 @@ class TestScanCommand:
             main(["scan", "bell", "--symmetry", "bosonic"])
         assert exc.value.code == EXIT_INVALID
 
-    @pytest.mark.parametrize("action,flags,unread", [("choi", ["--tol", "-5"], "--tol"),
-                                                     ("choi", ["--json"], "--json"),
+    @pytest.mark.parametrize("action,flags,unread", [("choi", ["--json"], "--json"),
                                                      ("complement", ["--symmetry", "fermionic"], "--symmetry"),
                                                      ("complement", ["--symmetry", "any"], "--symmetry"),
                                                      ("classify", ["-o", "{out}"], "--output")],
-                             ids=["choi-tol", "choi-json", "complement-symmetry", "complement-symmetry-any",
+                             ids=["choi-json", "complement-symmetry", "complement-symmetry-any",
                                   "classify-output"])
     def test_channel_unread_flag_rejected(self, tmp_path, capsys, action, flags, unread):
-        # classify reads --symmetry, --tol and --json; choi and complement read -o
+        # classify reads --symmetry and --json; choi and complement read -o
         path = tmp_path / "damp.json"
         path.write_text(DAMPING)
         out = tmp_path / "out.json"
