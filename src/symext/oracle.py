@@ -21,6 +21,16 @@ check has a margin of CERTIFICATE_MARGIN * ||W||_F and is re-run from scratch
 by :func:`verify_infeasibility_certificate`.  A run that stalls or hits the
 iteration cap without either certificate comes back Undecided.
 
+A run still undecided after two certificate checks (ANDERSON_START
+iterations) switches from the plain step z <- T(z) = z - g to type-II
+Anderson steps over its last ANDERSON_MEMORY step differences, with memory
+cleared whenever ||g|| grows (Walker and Ni, SIAM J. Numer. Anal. 49 (2011);
+Fu, Zhang and Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM J.
+Sci. Comput. 42 (2020)).  Each later check that fails on g tries the
+Anderson-mixed residual, which approximates the minimal displacement vector
+sooner, as a second candidate.  A run of at most ANDERSON_START iterations is
+plain Douglas-Rachford.
+
 A rank-deficient rho is decided on its face, and only there.  With R an
 orthonormal basis of its range, every extension lives on (R (x) H_B') within
 the sectors S keeps: for v in ker rho, tr((|v><v| (x) I) sigma) = <v|rho|v> = 0
@@ -43,11 +53,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg, twoqubit
-from .errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
+from .errors import DimensionMismatch, NotAState, NotSymmetric, TooLarge, WrongDimension
 from .states import (
     BipartiteState,
     TripartiteExtension,
@@ -63,6 +74,11 @@ SYMMETRIES = ("any", "bosonic", "fermionic")
 # The step difference is turned into a candidate dual certificate and checked
 # every CERTIFY_EVERY iterations.
 CERTIFY_EVERY = 25
+
+# A run still undecided after ANDERSON_START iterations takes Anderson steps
+# over its last ANDERSON_MEMORY step differences (see the module docstring).
+ANDERSON_START = 2 * CERTIFY_EVERY
+ANDERSON_MEMORY = 5
 
 # A dual certificate W proves infeasibility when tr(W rho) + mu falls below
 # -CERTIFICATE_MARGIN * ||W||_F, mu being the shift that makes S(W (x) I) PSD.
@@ -136,7 +152,8 @@ class FeasibilityResult:
     "certificate-rejected" (a face's one affine point is not PSD and the dual
     witness of its negative part fails to verify); it is None for closed-form
     verdicts.  ``iterations`` counts the iterations of the one
-    Douglas-Rachford loop that ran, on the face or on the full space; a face
+    Douglas-Rachford loop that ran, on the face or on the full space, the
+    Anderson steps after the first ANDERSON_START included; a face
     exit of a rank-deficient state reports 0 with ``residual`` the
     negative-eigenvalue mass of the face's one affine point, or the distance
     ||e|| of the face's affine set from the constraint when that set is
@@ -171,12 +188,32 @@ class _ExtensionGeometry:
     def __init__(self, d_a: int, d_b: int, symmetry: str):
         self.d_a, self.d_b, self.symmetry = d_a, d_b, symmetry
         self.perm = linalg.swap_permutation(d_a, d_b)
+        self.perm.flags.writeable = False  # shared by every call through _geometry
         self.parity = {"any": 0, "bosonic": 1, "fermionic": -1}[symmetry]
         # C = c0 (Id - E) + c1 E, summed over the parity sectors S allows.
         self.sectors = (1, -1) if self.parity == 0 else (self.parity,)
         c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in self.sectors)
         self.inv0, self.inv1 = (0.0 if abs(c) <= 1e-12 else 1.0 / c
                                 for c in (c0, c0 + len(self.sectors) / 4.0))
+
+    @cached_property
+    def sector_bases(self) -> list[np.ndarray]:
+        """Per sector S keeps, the orthonormal basis I_A (x) (|ij> + s|ji>)/sqrt 2 (i < j),
+        with |ii> added in the symmetric sector."""
+        db = self.d_b
+        bases = []
+        for s in self.sectors:
+            cols = [(i, j) for i in range(db) for j in range(i if s > 0 else i + 1, db)]
+            v = np.zeros((db, db, len(cols)), dtype=np.complex128)
+            for c, (i, j) in enumerate(cols):
+                if i == j:
+                    v[i, i, c] = 1.0
+                else:
+                    v[i, j, c], v[j, i, c] = np.sqrt(0.5), s * np.sqrt(0.5)
+            basis = np.kron(np.eye(self.d_a), v.reshape(db * db, len(cols)))
+            basis.flags.writeable = False
+            bases.append(basis)
+        return bases
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the last factor (B' of A B B', or B of A B)."""
@@ -236,6 +273,12 @@ class _ExtensionGeometry:
         return cert if verify_infeasibility_certificate(cert, rho, self.symmetry) else None
 
 
+@lru_cache(maxsize=64)
+def _geometry(d_a: int, d_b: int, symmetry: str) -> _ExtensionGeometry:
+    """The one :class:`_ExtensionGeometry` of each shape and mode."""
+    return _ExtensionGeometry(d_a, d_b, symmetry)
+
+
 def verify_infeasibility_certificate(w: np.ndarray, rho: BipartiteState, symmetry: str = "any") -> bool:
     """Check from scratch that ``w`` proves ``rho`` has no extension.
 
@@ -251,8 +294,7 @@ def verify_infeasibility_certificate(w: np.ndarray, rho: BipartiteState, symmetr
     if w.shape[0] != rho.dim:
         raise DimensionMismatch(f"certificate dimension {w.shape[0]} does not match the state's {rho.dim}")
     w = 0.5 * (w + w.conj().T)
-    geom = _ExtensionGeometry(rho.d_a, rho.d_b, symmetry)
-    mu = geom.certificate_shift(w)
+    mu = _geometry(rho.d_a, rho.d_b, symmetry).certificate_shift(w)
     value = float(np.vdot(w, rho.matrix).real) + mu
     return value < -CERTIFICATE_MARGIN * linalg.frobenius(w)
 
@@ -272,7 +314,7 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
     d_a, d_b = rho.d_a, rho.d_b
     if d_a * d_b * d_b > MAX_EXTENSION_DIM:
         raise TooLarge(f"extension dimension {d_a * d_b * d_b} exceeds {MAX_EXTENSION_DIM}")
-    geom = _ExtensionGeometry(d_a, d_b, opts.symmetry)
+    geom = _geometry(d_a, d_b, opts.symmetry)
 
     target = np.asarray(rho.matrix)
     method = f"oracle({opts.symmetry})"
@@ -316,18 +358,21 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify):
     """Douglas-Rachford iteration from ``z`` between an affine set and the PSD cone.
 
     ``project`` is the projection onto the affine set, ``eigvalsh`` the spectrum
-    of an affine point and ``psd_part`` the projection onto the cone.  Every
-    CERTIFY_EVERY iterations the step difference goes to ``certify``, which
-    returns a verified infeasibility certificate or None.  Returns
-    (stop_reason, found, residual, iterations): "converged" with the affine
-    point whose residual fell to ``linalg.EIGENVALUE_TOL``, "certified" with
-    the certificate, or "stalled" / "iteration-cap" with None and the best
-    residual.
+    of an affine point and ``psd_part`` the projection onto the cone.  The
+    plain step is z <- T(z) = z - g with g = x - psd_part(2x - z), x =
+    project(z); after ANDERSON_START iterations :class:`_Anderson` mixes it.
+    Every CERTIFY_EVERY iterations the step difference g goes to ``certify``,
+    which returns a verified infeasibility certificate or None, and when that
+    fails, so does the Anderson-mixed residual.  Returns (stop_reason, found,
+    residual, iterations): "converged" with the affine point whose residual
+    fell to ``linalg.EIGENVALUE_TOL``, "certified" with the certificate, or
+    "stalled" / "iteration-cap" with None and the best residual.
     """
     # The raw residual wobbles (it can bump up right before the final plunge
     # of a feasible run), so stall detection tracks the monotone running best.
     best_history: list[float] = []
     best = float("inf")
+    anderson = _Anderson()
     for it in range(1, MAX_ITERATIONS + 1):
         x = project(z)
         res = _negative_mass(eigvalsh(x))
@@ -336,17 +381,84 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify):
         if res <= linalg.EIGENVALUE_TOL:
             return "converged", x, res, it
         psd = psd_part(2.0 * x - z)
+        # g = z - T(z) tends to the minimal displacement vector of an
+        # inconsistent problem; the mixed residual approximates it sooner.
+        g, z = x - psd, z + psd - x
+        mixing = it >= ANDERSON_START and anderson.push(z, g)
+        if mixing:
+            z = anderson.step()
         if it % CERTIFY_EVERY == 0:
-            # x - psd = z_k - z_{k+1} tends to the minimal displacement vector.
-            cert = certify(x - psd)
+            cert = certify(g)
+            if cert is None and mixing:
+                cert = certify(anderson.residual())
             if cert is not None:
                 return "certified", cert, best, it
         if it > STALL_WINDOW:
             old = best_history[it - 1 - STALL_WINDOW]
             if old > 0.0 and (old - best) / old < STALL_IMPROVEMENT:
                 return "stalled", None, best, it
-        z = z + psd - x
     return "iteration-cap", None, best, MAX_ITERATIONS
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """A complex array as one flat vector of its real and imaginary parts (a view)."""
+    return np.ascontiguousarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point iteration z <- T(z) = z - g.
+
+    With the last ANDERSON_MEMORY differences of T(z) and of g as the rows of
+    dT and dG, gamma minimizes ||g - gamma dG||, the step is
+    T(z) - gamma dT and g - gamma dG is the mixed residual.  Inner products
+    are real (the real parts of the Frobenius ones), so gamma is real and
+    Hermitian iterates stay Hermitian.  dT and dG live in ring buffers, and
+    the Gram matrix of dG gains one row per step.  The memory is cleared, and
+    that step left plain, when ||g|| grows, which a plain step never lets
+    happen (T is firmly nonexpansive).
+    """
+
+    def __init__(self):
+        self.count = self.slot = 0
+        self.last = None
+
+    def push(self, t: np.ndarray, g: np.ndarray) -> bool:
+        """Record T(z) and g of one iterate; True when there is a difference to mix with."""
+        tf, gf = _real(t), _real(g)
+        norm = gf @ gf
+        last, self.last, self.shape = self.last, (tf, gf, norm), t.shape
+        if last is None:
+            self.dt, self.dg = np.empty((2, ANDERSON_MEMORY, tf.size))
+            self.gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+            # a relative ridge on the diagonal keeps gamma bounded when dG is
+            # nearly rank deficient
+            self.ridge = 1.0 + 1e-12 * np.eye(ANDERSON_MEMORY)
+            return False
+        if norm > last[2]:
+            self.count = self.slot = 0
+            return False
+        k, dg = self.slot, self.dg
+        np.subtract(tf, last[0], out=self.dt[k])
+        np.subtract(gf, last[1], out=dg[k])
+        c = self.count = min(self.count + 1, ANDERSON_MEMORY)
+        self.slot = (k + 1) % ANDERSON_MEMORY
+        self.gram[k, :c] = self.gram[:c, k] = dg[:c] @ dg[k]
+        try:
+            self.gamma = np.linalg.solve(self.gram[:c, :c] * self.ridge[:c, :c], dg[:c] @ gf)
+        except np.linalg.LinAlgError:  # dG = 0: g has stopped moving
+            self.count = self.slot = 0
+            return False
+        return True
+
+    def residual(self) -> np.ndarray:
+        """g - gamma dG for the last iterate pushed."""
+        out = self.last[1] - self.gamma @ self.dg[:self.count]
+        return out.view(np.complex128).reshape(self.shape)
+
+    def step(self) -> np.ndarray:
+        """T(z) - gamma dT for the last iterate pushed."""
+        out = self.last[0] - self.gamma @ self.dt[:self.count]
+        return out.view(np.complex128).reshape(self.shape)
 
 
 def _loop_result(outcome, rho: BipartiteState, method: str, extension) -> FeasibilityResult:
@@ -354,11 +466,12 @@ def _loop_result(outcome, rho: BipartiteState, method: str, extension) -> Feasib
     maps its affine point to a matrix on A B B', which must re-verify at WITNESS_TOL."""
     reason, found, res, it = outcome
     if reason == "converged":
-        x = extension(found)
-        if linalg.is_density_matrix(x):
-            witness = TripartiteExtension(x, rho.d_a, rho.d_b, rho.matrix)
-            if is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
-                return FeasibilityResult(Feasibility.FEASIBLE, witness, res, it, method, stop_reason=reason)
+        try:
+            witness = TripartiteExtension(extension(found), rho.d_a, rho.d_b, rho.matrix)
+        except NotAState:
+            witness = None
+        if witness is not None and is_symmetric_extension(witness, rho, tol=WITNESS_TOL):
+            return FeasibilityResult(Feasibility.FEASIBLE, witness, res, it, method, stop_reason=reason)
         reason = "witness-rejected"
     elif reason == "certified":
         return FeasibilityResult(Feasibility.INFEASIBLE, None, res, it, method,
@@ -451,10 +564,8 @@ def _face_bases(geom: _ExtensionGeometry, range_basis: np.ndarray) -> list[np.nd
     n = range_basis.shape[0]
     # Pi_ker(rho) (x) I/d_b: the zero cut is relative, so the 1/d_b does not matter
     kernel = geom.embed(np.eye(n) - range_basis @ linalg.dagger(range_basis))
-    identity = np.eye(n * geom.d_b, dtype=np.complex128)
     bases = []
-    for s in geom.sectors:
-        sector = linalg.support(linalg.parity_projection(identity, geom.perm, s))[1]
+    for sector in geom.sector_bases:
         vals, vecs = np.linalg.eigh(linalg.dagger(sector) @ kernel @ sector)
         bases.append(sector @ vecs[:, ~linalg.above_cut(vals)])
     return bases

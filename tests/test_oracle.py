@@ -322,9 +322,10 @@ def test_two_qubit_band_goes_to_oracle(rng):
 def test_verdict_invariant_under_local_maps(symmetry):
     # a local unitary U_A (x) U_B and an invertible filter on A map extensions
     # to extensions both ways, so neither the oracle nor decide may flip a
-    # verdict under them; random ranks and traced states, 20 per shape.  A
-    # full-space stall may leave one of them undecided: in mode "any" the
-    # filtered copy of 3x2 draw 7 (full rank) stalls after 1582 iterations.
+    # verdict under them, and all of them are decided; random ranks and traced
+    # states, 20 per shape.  In mode "any" the filtered copy of 3x2 draw 7
+    # (full rank) needs the Anderson steps: plain Douglas-Rachford stalls on
+    # it after 1582 iterations.
     rng = np.random.default_rng(2008)
     opts = OracleOptions(symmetry=symmetry)
     for d_a, d_b in ((2, 2), (3, 2), (2, 3)):
@@ -338,7 +339,19 @@ def test_verdict_invariant_under_local_maps(symmetry):
             filtered = states.apply_filter_A(rho, states.random_invertible_filter(d_a, rng)).normalized()
             verdicts = {solve(x, opts).status for solve in (find_symmetric_extension, decide)
                         for x in (rho, rotated, filtered)}
-            assert len(verdicts - {Feasibility.UNDECIDED}) == 1, (d_a, d_b, i, verdicts)
+            assert len(verdicts) == 1 and Feasibility.UNDECIDED not in verdicts, (d_a, d_b, i, verdicts)
+
+
+def test_sector_bases_span_the_parity_sectors():
+    # the closed-form bases against the parity projection of the identity
+    for symmetry in oracle.SYMMETRIES:
+        for d_a, d_b in ((2, 1), (2, 2), (3, 2), (2, 3)):
+            geom = oracle._geometry(d_a, d_b, symmetry)
+            identity = np.eye(d_a * d_b * d_b, dtype=np.complex128)
+            for s, f in zip(geom.sectors, geom.sector_bases):
+                assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-15)
+                assert np.allclose(f @ f.conj().T, linalg.parity_projection(identity, geom.perm, s),
+                                   atol=1e-15)
 
 
 def test_geometry_embed_and_reduce(rng):
@@ -383,6 +396,53 @@ def test_undecided_criterion_7_draws_now_feasible():
         result = find_symmetric_extension(rho)
         assert result.feasible, (i, result.stop_reason)
         assert is_symmetric_extension(result.witness, rho, tol=oracle.WITNESS_TOL)
+
+
+def test_runs_within_two_checks_stay_plain(rng, monkeypatch):
+    # Anderson steps start after ANDERSON_START iterations, so a run that ends
+    # by then keeps the plain Douglas-Rachford iterates: the same verdict,
+    # iteration count and residual as with no acceleration at all
+    samples = [random_state(d_a, d_b, rng) for d_a, d_b in ((2, 2), (3, 2), (2, 3), (3, 3))
+               for _ in range(3)]
+    accelerated = [find_symmetric_extension(rho) for rho in samples]
+    start = oracle.ANDERSON_START
+    monkeypatch.setattr(oracle, "ANDERSON_START", oracle.MAX_ITERATIONS)
+    short = 0
+    for rho, fast in zip(samples, accelerated):
+        plain = find_symmetric_extension(rho)
+        assert fast.status is plain.status
+        if plain.iterations <= start:
+            assert (fast.iterations, fast.residual) == (plain.iterations, plain.residual)
+            short += 1
+    assert 6 <= short < len(samples)
+
+
+def test_zcorr_y_positive_draw_accelerated():
+    # draw 12 of the Z-correlated y > 0 states of
+    # test_twoqubit.py::TestZCorrelated::test_y_positive_left_to_decide
+    # (default_rng(5)): conjecture margin +0.095, full rank with one eigenvalue
+    # near 1e-4; plain Douglas-Rachford needs 682 iterations
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        probs = np.sort(rng.dirichlet([1, 1, 1, 1]))[::-1]
+        rest = rng.permutation(probs[1:])
+        z = twoqubit.ZCorrParams(probs[0], *rest,
+                                 x=float(rng.uniform(0, np.sqrt(probs[0] * rest[2]))),
+                                 y=float(rng.uniform(0, np.sqrt(rest[0] * rest[1]))))
+    rho = z.state()
+    assert z.y > 0.0 and twoqubit.conjecture_margin(rho) > 0.09
+    result = find_symmetric_extension(rho)
+    assert result.feasible and result.iterations < 200
+    assert is_symmetric_extension(result.witness, rho, tol=oracle.WITNESS_TOL)
+
+
+def test_invalid_witness_is_rejected(bell_state):
+    # a converged point that is not a state is reported, not raised
+    for point in (np.diag([1.0, -0.5, 0.5, 0, 0, 0, 0, 0]), np.eye(8)):
+        result = oracle._loop_result(("converged", point.astype(complex), 0.0, 7), bell_state,
+                                     "oracle(any)", lambda x: x)
+        assert result.status is Feasibility.UNDECIDED and result.witness is None
+        assert (result.stop_reason, result.iterations) == ("witness-rejected", 7)
 
 
 def face_of(rho, symmetry="any"):
