@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidChannel, NotAChoiState, NotAnExtension
 # find_symmetric_extension stays importable from here: bench/test_bench.py reads it
-from .oracle import Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
+from .oracle import WITNESS_TOL, Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
 from .states import BipartiteState, TripartiteExtension, is_symmetric_extension
 
 
@@ -47,9 +47,8 @@ class Channel:
         return sum(k @ rho @ linalg.dagger(k) for k in self.kraus)
 
     def environment_dim(self) -> int:
-        """Rank of the Kraus Gram matrix: the minimal Stinespring environment."""
-        return linalg.numerical_rank(np.array([[np.trace(linalg.dagger(a) @ b) for b in self.kraus]
-                                               for a in self.kraus]))
+        """The environment size of a minimal Stinespring dilation (the Choi rank)."""
+        return _stinespring(choi_state(self)).shape[2]
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,11 @@ def is_degradable(channel: Channel, opts: OracleOptions | None = None) -> Feasib
     have an environment larger than a qubit, so environment rank >= 3 settles
     the question without any iteration.
     """
-    if channel.d_out == 2 and channel.environment_dim() > 2:
+    complement = complementary_channel(channel)
+    if channel.d_out == 2 and complement.d_out > 2:
         return FeasibilityResult(Feasibility.INFEASIBLE, None, float("inf"), 0,
                                  method="qubit-output-environment-bound", proven=True)
-    return is_anti_degradable(complementary_channel(channel), opts)
+    return is_anti_degradable(complement, opts)
 
 
 class ChannelTag(Enum):
@@ -175,7 +175,7 @@ def degrading_map_from_extension(channel: Channel, sigma: TripartiteExtension) -
     is found by aligning the two Stinespring isometries.
     """
     choi = choi_state(channel)
-    if not is_symmetric_extension(sigma, choi.state, tol=1e-7):
+    if not is_symmetric_extension(sigma, choi.state, tol=WITNESS_TOL):
         raise NotAnExtension("sigma does not verify as an extension of the Choi state")
     d_in, d_out = channel.d_in, channel.d_out
 

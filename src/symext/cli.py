@@ -70,10 +70,6 @@ class Verdict:
             print(f"witness: {self.witness_path}")
 
 
-def _oracle_options(args) -> OracleOptions:
-    return OracleOptions(symmetry=args.symmetry or "any")
-
-
 def _witness_tol(args) -> float:
     """Witness re-verification tolerance: --tol, a finite number in (0, 1), else WITNESS_TOL."""
     if args.tol is None:
@@ -98,7 +94,7 @@ def _verdict(result: FeasibilityResult) -> Verdict:
 
 def cmd_check(args) -> int:
     rho = io.load_state(args.file)
-    opts = _oracle_options(args)
+    opts = OracleOptions(symmetry=args.symmetry)
     verdict = _verdict(decide(rho, opts) if args.method == "auto" else find_symmetric_extension(rho, opts))
     verdict.emit(args.json)
     return verdict.exit_code()
@@ -106,7 +102,7 @@ def cmd_check(args) -> int:
 
 def cmd_extend(args) -> int:
     rho = io.load_state(args.file)
-    result = decide(rho, _oracle_options(args), want_witness=True)
+    result = decide(rho, OracleOptions(symmetry=args.symmetry), want_witness=True)
     if not result.feasible:
         verdict = _verdict(result)
         verdict.emit(args.json)
@@ -134,11 +130,6 @@ def cmd_verify_extension(args) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
-# the flags each `channel` action reads; argparse cannot tie an option to a
-# positional choice, so main rejects the others with exit code 2
-CHANNEL_FLAGS = {"classify": ("symmetry", "json"), "choi": ("output",), "complement": ("output",)}
-
-
 def cmd_channel(args) -> int:
     channel = io.load_channel(args.kraus_file)
     if args.action != "classify":
@@ -151,7 +142,7 @@ def cmd_channel(args) -> int:
             print(json.dumps(payload))
         return EXIT_YES
 
-    opts = _oracle_options(args)
+    opts = OracleOptions(symmetry=args.symmetry)
     result = classify_channel(channel, opts)
     answer = result.tag.value
     if args.json:
@@ -173,25 +164,23 @@ def cmd_channel(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    builder = gallery.ENTRIES[args.name]  # argparse restricts the name to these
-    if args.name == "example3":
-        entry = builder(s=args.s, p=args.p)
-    elif args.name == "werner":
-        entry = builder(steps=args.steps)
-    else:
-        entry = builder()
+    entry = args.build(args)
     print(f"name: {entry.name}")
     print(f"description: {entry.description}")
     print(f"extendible: {entry.extendible}")
     for key, value in entry.findings:
         print(f"{key}: {value}")
-    if args.name == "werner" and args.csv:
-        with io.open_output(args.csv) as fh:
-            io.write_csv(fh, ["p", "conjecture", "oracle", "threshold"],
-                         _werner_rows(args.steps))
-        print(f"csv: {args.csv}")
     return EXIT_YES if entry.extendible == "yes" else (
         EXIT_NO if entry.extendible == "no" else EXIT_UNDECIDED)
+
+
+def cmd_gallery_werner(args) -> int:
+    code = cmd_gallery(args)
+    if args.csv:
+        with io.open_output(args.csv) as fh:
+            io.write_csv(fh, ["p", "conjecture", "oracle", "threshold"], _werner_rows(args.steps))
+        print(f"csv: {args.csv}")
+    return code
 
 
 def _werner_rows(steps: int):
@@ -206,59 +195,54 @@ def _werner_rows(steps: int):
 def cmd_scan(args) -> int:
     stream = io.open_output(args.csv) if args.csv else sys.stdout
     try:
-        if args.family == "werner":
-            rows = []
-            for p in np.linspace(0.0, 1.0, args.steps):
-                bell = gallery.werner_bell_params(float(p))
-                closed = twoqubit.bell_extendible(bell)
-                conj = twoqubit.check_conjecture(gallery.werner(float(p)))
-                rows.append([float(p), str(closed), str(conj), str(closed == conj)])
-            io.write_csv(stream, ["p", "closed_form", "conjecture", "agree"], rows)
-        elif args.family == "bell":
-            rows = []
-            grid = np.linspace(0.0, 1.0, args.steps)
-            for pi in grid:
-                for px in grid:
-                    for py in grid:
-                        pz = 1.0 - pi - px - py
-                        if pz < -1e-12:
-                            continue
-                        params = twoqubit.BellDiagonalParams(float(pi), float(px),
-                                                             float(py), max(float(pz), 0.0))
-                        closed = twoqubit.bell_extendible(params)
-                        conj = twoqubit.bell_conjecture_form(params)
-                        rows.append([float(pi), float(px), float(py), max(float(pz), 0.0),
-                                     str(closed), str(conj), str(closed == conj)])
-            io.write_csv(stream, ["p_i", "p_x", "p_y", "p_z",
-                                  "closed_form", "conjecture_form", "agree"], rows)
-        elif args.family == "zcorr":
-            rng = np.random.default_rng(args.seed)
-            rows = []
-            for _ in range(args.samples):
-                probs = np.sort(rng.dirichlet([1.0] * 4))[::-1]
-                p1, rest = probs[0], rng.permutation(probs[1:])
-                p2, p3, p4 = (float(v) for v in rest)
-                x = float(rng.uniform(0.0, np.sqrt(max(p1 * p4, 0.0))))
-                z = twoqubit.ZCorrParams(float(p1), p2, p3, p4, x, 0.0)
-                bound = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4)
-                extendible = twoqubit.zcorr_extendible(z)
-                conj = twoqubit.check_conjecture(z.state())
-                rows.append([z.p1, z.p2, z.p3, z.p4, z.x, bound,
-                             str(extendible), str(conj)])
-            io.write_csv(stream, ["p1", "p2", "p3", "p4", "x", "y0_bound",
-                                  "extendible", "conjecture"], rows)
-        else:  # amplitude-damping
-            rows = []
-            for eta in np.linspace(0.0, 1.0, args.steps):
-                channel = amplitude_damping(float(eta))
-                result = classify_channel(channel)
-                rows.append([float(eta), result.degradable.status.value,
-                             result.anti_degradable.status.value, result.tag.value])
-            io.write_csv(stream, ["eta", "degradable", "anti_degradable", "class"], rows)
+        io.write_csv(stream, args.header, args.rows(args))
     finally:
         if args.csv:
             stream.close()
     return EXIT_YES
+
+
+def _scan_werner(args):
+    for p in np.linspace(0.0, 1.0, args.steps):
+        bell = gallery.werner_bell_params(float(p))
+        closed = twoqubit.bell_extendible(bell)
+        conj = twoqubit.check_conjecture(gallery.werner(float(p)))
+        yield [float(p), str(closed), str(conj), str(closed == conj)]
+
+
+def _scan_bell(args):
+    grid = np.linspace(0.0, 1.0, args.steps)
+    for pi in grid:
+        for px in grid:
+            for py in grid:
+                pz = 1.0 - pi - px - py
+                if pz < -1e-12:
+                    continue
+                params = twoqubit.BellDiagonalParams(float(pi), float(px), float(py), max(float(pz), 0.0))
+                closed = twoqubit.bell_extendible(params)
+                conj = twoqubit.bell_conjecture_form(params)
+                yield [float(pi), float(px), float(py), max(float(pz), 0.0),
+                       str(closed), str(conj), str(closed == conj)]
+
+
+def _scan_zcorr(args):
+    rng = np.random.default_rng(args.seed)
+    for _ in range(args.samples):
+        probs = np.sort(rng.dirichlet([1.0] * 4))[::-1]
+        p1, rest = probs[0], rng.permutation(probs[1:])
+        p2, p3, p4 = (float(v) for v in rest)
+        x = float(rng.uniform(0.0, np.sqrt(max(p1 * p4, 0.0))))
+        z = twoqubit.ZCorrParams(float(p1), p2, p3, p4, x, 0.0)
+        bound = twoqubit.zcorr_bound_y0(z.p1, z.p2, z.p3, z.p4)
+        yield [z.p1, z.p2, z.p3, z.p4, z.x, bound,
+               str(twoqubit.zcorr_extendible(z)), str(twoqubit.check_conjecture(z.state()))]
+
+
+def _scan_damping(args):
+    for eta in np.linspace(0.0, 1.0, args.steps):
+        result = classify_channel(amplitude_damping(float(eta)))
+        yield [float(eta), result.degradable.status.value, result.anti_degradable.status.value,
+               result.tag.value]
 
 
 def amplitude_damping(eta: float) -> Channel:
@@ -304,40 +288,52 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=cmd_verify_extension)
 
+    # channel actions, gallery entries and scan families are subparsers that
+    # declare only the flags they read, so any other flag exits 2
     p_ch = sub.add_parser("channel", help="channel tools: classify, choi, complement")
-    p_ch.add_argument("action", choices=["classify", "choi", "complement"])
-    p_ch.add_argument("kraus_file")
-    p_ch.add_argument("-o", "--output", default=None)
-    common(p_ch)
-    # None marks a flag as not given; see CHANNEL_FLAGS
-    p_ch.set_defaults(func=cmd_channel, symmetry=None, json=None)
+    actions = p_ch.add_subparsers(dest="action", required=True)
+    p_cls = actions.add_parser("classify")
+    common(p_cls)
+    for action in ("choi", "complement"):
+        actions.add_parser(action).add_argument("-o", "--output", default=None)
+    for p in actions.choices.values():
+        p.add_argument("kraus_file")
+        p.set_defaults(func=cmd_channel)
 
     p_gal = sub.add_parser("gallery", help="named example states with recomputed findings")
-    p_gal.add_argument("name", choices=sorted(gallery.ENTRIES))
-    p_gal.add_argument("--s", type=float, default=0.75)
-    p_gal.add_argument("--p", type=float, default=0.5)
-    p_gal.add_argument("--steps", type=_count, default=21)
-    p_gal.add_argument("--csv", default=None)
-    p_gal.set_defaults(func=cmd_gallery)
+    entries = p_gal.add_subparsers(dest="name", required=True)
+    for name, builder in sorted(gallery.ENTRIES.items()):
+        entries.add_parser(name).set_defaults(func=cmd_gallery, build=lambda a, b=builder: b())
+    p_ex3 = entries.choices["example3"]
+    p_ex3.add_argument("--s", type=float, default=0.75)
+    p_ex3.add_argument("--p", type=float, default=0.5)
+    p_ex3.set_defaults(build=lambda a: gallery.entry_qubit_qutrit(s=a.s, p=a.p))
+    p_wer = entries.choices["werner"]
+    p_wer.add_argument("--steps", type=_count, default=21)
+    p_wer.add_argument("--csv", default=None)
+    p_wer.set_defaults(func=cmd_gallery_werner, build=lambda a: gallery.entry_werner(steps=a.steps))
 
     p_scan = sub.add_parser("scan", help="parameter sweeps emitting CSV")
-    p_scan.add_argument("family", choices=["werner", "bell", "zcorr", "amplitude-damping"])
-    p_scan.add_argument("--steps", type=_count, default=50)
-    p_scan.add_argument("--samples", type=_count, default=200)
-    p_scan.add_argument("--csv", default=None)
-    p_scan.add_argument("--seed", type=_count, default=7)
-    p_scan.set_defaults(func=cmd_scan)
+    families = p_scan.add_subparsers(dest="family", required=True)
+    for family, rows, header, counts in (
+            ("werner", _scan_werner, ["p", "closed_form", "conjecture", "agree"], {"steps": 50}),
+            ("bell", _scan_bell, ["p_i", "p_x", "p_y", "p_z", "closed_form", "conjecture_form", "agree"],
+             {"steps": 50}),
+            ("zcorr", _scan_zcorr, ["p1", "p2", "p3", "p4", "x", "y0_bound", "extendible", "conjecture"],
+             {"samples": 200, "seed": 7}),
+            ("amplitude-damping", _scan_damping, ["eta", "degradable", "anti_degradable", "class"],
+             {"steps": 50})):
+        p = families.add_parser(family)
+        for flag, default in counts.items():
+            p.add_argument(f"--{flag}", type=_count, default=default)
+        p.add_argument("--csv", default=None)
+        p.set_defaults(func=cmd_scan, header=header, rows=rows)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "channel":
-        unread = [f"--{dest}" for dest in ("symmetry", "json", "output")
-                  if getattr(args, dest) is not None and dest not in CHANNEL_FLAGS[args.action]]
-        if unread:
-            parser.error(f"channel {args.action} does not read {', '.join(unread)}")
     try:
         return args.func(args)
     except SymextError as exc:

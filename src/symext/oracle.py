@@ -35,16 +35,18 @@ A rank-deficient rho is decided on its face, and only there.  With R an
 orthonormal basis of its range, every extension lives on (R (x) H_B') within
 the sectors S keeps: for v in ker rho, tr((|v><v| (x) I) sigma) = <v|rho|v> = 0
 (Drusvyatskiy and Wolkowicz, "The many faces of degeneracy in conic
-optimization", 2017).  There sigma = sum_s F_s Y_s F_s^dag and the reduction
-constraint is one small matrix M, factored once.  An empty face, an empty
-affine set and a face affine set of one point are decided with no iteration;
-otherwise Douglas-Rachford runs on the blocks Y_s.  A face witness is
-rescaled to unit trace (the mass of rho under the zero cut lies off the
-face); a face "no" is a dual witness W0 on the range, lifted to
-W = R W0 R^dag + t (I - R R^dag); both are re-verified like any other.  The
-full-space iteration runs only for a full-rank rho and for a face whose M
-has more than MAX_FACE_ENTRIES entries, so every call runs at most one
-Douglas-Rachford loop.
+optimization", 2017).  One eigh of the swap in the coordinates of
+X = R (x) I_B' gives the face (:func:`_face_bases`, an absolute cut on the
+principal angles); there sigma = X (sum_s C_s Y_s C_s^dag) X^dag and the
+reduction constraint is one small matrix M, factored once.  An empty face, an
+empty affine set (M row-rank deficient) and a face affine set of one point
+are decided with no iteration; otherwise Douglas-Rachford runs on the blocks
+Y_s.  A face witness is rescaled to unit trace (the mass of rho under the
+zero cut lies off the face); a face "no" is a dual witness W0 on the range,
+lifted to W = R W0 R^dag + t (I - R R^dag); both are re-verified like any
+other.  The full-space iteration runs only for a full-rank rho and for a face
+whose M has more than MAX_FACE_ENTRIES entries, so every call runs at most
+one Douglas-Rachford loop.
 
 :func:`decide` is the decision pipeline: the closed forms in a fixed order, this oracle last.
 """
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,25 +197,6 @@ class _ExtensionGeometry:
         c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in self.sectors)
         self.inv0, self.inv1 = (0.0 if abs(c) <= 1e-12 else 1.0 / c
                                 for c in (c0, c0 + len(self.sectors) / 4.0))
-
-    @cached_property
-    def sector_bases(self) -> list[np.ndarray]:
-        """Per sector S keeps, the orthonormal basis I_A (x) (|ij> + s|ji>)/sqrt 2 (i < j),
-        with |ii> added in the symmetric sector."""
-        db = self.d_b
-        bases = []
-        for s in self.sectors:
-            cols = [(i, j) for i in range(db) for j in range(i if s > 0 else i + 1, db)]
-            v = np.zeros((db, db, len(cols)), dtype=np.complex128)
-            for c, (i, j) in enumerate(cols):
-                if i == j:
-                    v[i, i, c] = 1.0
-                else:
-                    v[i, j, c], v[j, i, c] = np.sqrt(0.5), s * np.sqrt(0.5)
-            basis = np.kron(np.eye(self.d_a), v.reshape(db * db, len(cols)))
-            basis.flags.writeable = False
-            bases.append(basis)
-        return bases
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the last factor (B' of A B B', or B of A B)."""
@@ -482,24 +465,26 @@ def _loop_result(outcome, rho: BipartiteState, method: str, extension) -> Feasib
 class _Face:
     """The face of the extension problem that the support of rho leaves.
 
-    ``bases`` holds, for each sector S keeps, an orthonormal basis F_s of its
-    vectors in the kernel of Pi_ker(rho) (x) I_B' (possibly none).  A point y
-    stacks the blocks Y_s of sigma = sum_s F_s Y_s F_s^dag row-major, and the
-    reduction constraint R^dag tr_B'(sigma) R = R^dag rho R reads M y = b, with
-    M = U diag(s) Vh kept above the zero cut.
+    ``bases`` holds, for each sector S keeps, the coordinates C_s (r d_b x k_s,
+    possibly no columns) of the face's orthonormal basis X C_s, X = R (x) I_B'.
+    A point y stacks the blocks Y_s of sigma = X (sum_s C_s Y_s C_s^dag) X^dag
+    row-major.  As R^dag tr_B'(X Z X^dag) R = tr_B'(Z), the reduction
+    constraint R^dag tr_B'(sigma) R = R^dag rho R reads M y = b with M built
+    from the C_s alone, M = U diag(s) Vh kept above the zero cut.
     """
 
     def __init__(self, rho: BipartiteState, geom: _ExtensionGeometry, range_basis: np.ndarray,
                  bases: list[np.ndarray]):
         self.rho, self.geom = rho, geom
         self.range, self.bases = range_basis, bases
-        n, r = range_basis.shape
-        self.sizes = [f.shape[1] for f in bases]
+        self.x = np.kron(range_basis, np.eye(geom.d_b))
+        r = range_basis.shape[1]
+        self.sizes = [c.shape[1] for c in bases]
         self.offsets = np.cumsum([0] + [k * k for k in self.sizes])
         self.b = (linalg.dagger(range_basis) @ rho.matrix @ range_basis).ravel()
         columns = []
-        for f, k in zip(bases, self.sizes):
-            g = (linalg.dagger(range_basis) @ f.reshape(n, geom.d_b * k)).reshape(r, geom.d_b, k)
+        for c, k in zip(bases, self.sizes):
+            g = c.reshape(r, geom.d_b, k)
             columns.append(np.einsum("pbi,qbj->pqij", g, g.conj()).reshape(r * r, k * k))
         self.m = np.hstack(columns)
         u, s, vh = np.linalg.svd(self.m, full_matrices=False)
@@ -512,10 +497,11 @@ class _Face:
         return [y[lo:hi].reshape(k, k) for lo, hi, k in zip(self.offsets, self.offsets[1:], self.sizes)]
 
     def extension(self, y: np.ndarray) -> np.ndarray:
-        """sigma = sum_s F_s Y_s F_s^dag at unit trace: the mass of rho under the
-        zero cut lies off the face, and an affine point misses it."""
-        sigma = sum(f @ blk @ f.conj().T for f, blk in zip(self.bases, self.blocks(y)))
-        trace = np.trace(sigma).real
+        """S(X (sum_s C_s Y_s C_s^dag) X^dag) at unit trace: X C_s has parity s up
+        to rounding, and the mass of rho under the zero cut lies off the face."""
+        z = sum(c @ blk @ c.conj().T for c, blk in zip(self.bases, self.blocks(y)))
+        sigma = linalg.parity_projection(self.x @ z @ self.x.conj().T, self.geom.perm, self.geom.parity)
+        trace = np.trace(z).real
         return sigma / trace if trace > 0.0 else sigma
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -559,24 +545,31 @@ class _Face:
 
 
 def _face_bases(geom: _ExtensionGeometry, range_basis: np.ndarray) -> list[np.ndarray]:
-    """Per sector S keeps, an orthonormal basis of its vectors that Pi_ker(rho) (x) I_B'
-    annihilates: the eigenvectors of that compression outside the zero cut."""
-    n = range_basis.shape[0]
-    # Pi_ker(rho) (x) I/d_b: the zero cut is relative, so the 1/d_b does not matter
-    kernel = geom.embed(np.eye(n) - range_basis @ linalg.dagger(range_basis))
-    bases = []
-    for sector in geom.sector_bases:
-        vals, vecs = np.linalg.eigh(linalg.dagger(sector) @ kernel @ sector)
-        bases.append(sector @ vecs[:, ~linalg.above_cut(vals)])
-    return bases
+    """Per sector s that S keeps, the coordinates C_s of the face in X = R (x) I_B'.
+
+    One eigh of Q = X^dag P X, P the swap: for an eigenpair (lambda, c),
+    (1 - s lambda)/2 = ||(I - P_s) X c||^2 with P_s = (I + s P)/2 is the squared
+    sine of the principal angle between X c and sector s, and C_s keeps the c
+    where it is at most ZERO_CUTOFF.  The cut is absolute: with d_b = 1 every
+    lambda is 1 up to rounding, and a relative cut would drop face vectors.
+    """
+    x = np.kron(range_basis, np.eye(geom.d_b))
+    vals, vecs = np.linalg.eigh(linalg.dagger(x) @ x[geom.perm])
+    return [vecs[:, (1.0 - s * vals) / 2.0 <= linalg.ZERO_CUTOFF] for s in geom.sectors]
 
 
 def _decide_on_face(face: _Face, method: str) -> FeasibilityResult:
-    """Decide a rank-deficient rho on its face, by an exit or by one Douglas-Rachford loop."""
-    # The least-squares residual e has A*(e) = 0 and tr(e rho) = -||e||^2; on an
-    # empty face (sigma = 0, whose trace is not 1) it is -R^dag rho R.
+    """Decide a rank-deficient rho on its face, by an exit or by one Douglas-Rachford loop.
+
+    Only an M of row rank below r^2 (fewer than r^2 singular values above the
+    cut) can leave the affine set empty, so only then is the least-squares
+    residual e = M y0 - b tried as a certificate; otherwise e is rounding noise.
+    """
+    # e has A*(e) = 0 and tr(e rho) = -||e||^2; on an empty face (sigma = 0,
+    # whose trace is not 1) it is -R^dag rho R.
     e = face.m @ face.y0 - face.b
-    cert = face.certificate(e.reshape(face.range.shape[1], -1))
+    deficient = face.s.size < face.m.shape[0]
+    cert = face.certificate(e.reshape(face.range.shape[1], -1)) if deficient else None
     if cert is not None:
         outcome = ("certified", cert, linalg.frobenius(e), 0)
     elif face.s.size < face.m.shape[1]:

@@ -63,7 +63,7 @@ class TestChannelBasics:
         assert redundant.environment_dim() == 1
 
     def test_environment_dims_agree(self, rng):
-        # the Kraus recovery, the complement and the Gram rank read one support
+        # environment_dim, the Kraus recovery and the complement read one support
         cases = [(random_kraus_channel(n, rng, d), n) for n in (1, 2, 3, 4) for d in (2, 3)]
         # a redundant family: each operator of a two-Kraus qubit channel split in two
         two = cases[2][0]

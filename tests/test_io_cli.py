@@ -305,7 +305,7 @@ class TestGalleryCommand:
         ("werner", EXIT_YES),
     ])
     def test_entries_run(self, name, expected, capsys):
-        assert main(["gallery", name, "--steps", "5"]) == expected
+        assert main(["gallery", name] + (["--steps", "5"] if name == "werner" else [])) == expected
         out = capsys.readouterr().out
         assert f"name: {name}" in out
 
@@ -400,7 +400,7 @@ class TestScanCommand:
     @pytest.mark.parametrize("action,flags,unread", [("choi", ["--json"], "--json"),
                                                      ("complement", ["--symmetry", "fermionic"], "--symmetry"),
                                                      ("complement", ["--symmetry", "any"], "--symmetry"),
-                                                     ("classify", ["-o", "{out}"], "--output")],
+                                                     ("classify", ["-o", "{out}"], "-o")],
                              ids=["choi-json", "complement-symmetry", "complement-symmetry-any",
                                   "classify-output"])
     def test_channel_unread_flag_rejected(self, tmp_path, capsys, action, flags, unread):
@@ -411,5 +411,25 @@ class TestScanCommand:
         with pytest.raises(SystemExit) as exc:
             main(["channel", action, str(path)] + [f.format(out=out) for f in flags])
         assert exc.value.code == EXIT_INVALID
-        assert f"channel {action} does not read {unread}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,unread", [
+        (["gallery", "example2", "--csv", "{out}"], "--csv"),
+        (["gallery", "example1", "--steps", "5"], "--steps"),
+        (["gallery", "werner", "--p", "0.5"], "--p"),
+        (["gallery", "example3", "--steps", "5"], "--steps"),
+        (["scan", "bell", "--seed", "3", "--samples", "4"], "--seed"),
+        (["scan", "werner", "--samples", "4", "--csv", "{out}"], "--samples"),
+        (["scan", "zcorr", "--steps", "5"], "--steps"),
+        (["scan", "amplitude-damping", "--seed", "3", "--csv", "{out}"], "--seed")],
+        ids=["gallery-example2-csv", "gallery-example1-steps", "gallery-werner-p", "gallery-example3-steps",
+             "scan-bell-seed", "scan-werner-samples", "scan-zcorr-steps", "scan-damping-seed"])
+    def test_gallery_and_scan_unread_flag_rejected(self, tmp_path, capsys, argv, unread):
+        # each gallery entry and scan family declares only the flags it reads
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == EXIT_INVALID
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
         assert not out.exists()

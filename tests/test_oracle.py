@@ -342,16 +342,31 @@ def test_verdict_invariant_under_local_maps(symmetry):
             assert len(verdicts) == 1 and Feasibility.UNDECIDED not in verdicts, (d_a, d_b, i, verdicts)
 
 
-def test_sector_bases_span_the_parity_sectors():
-    # the closed-form bases against the parity projection of the identity
-    for symmetry in oracle.SYMMETRIES:
-        for d_a, d_b in ((2, 1), (2, 2), (3, 2), (2, 3)):
-            geom = oracle._geometry(d_a, d_b, symmetry)
-            identity = np.eye(d_a * d_b * d_b, dtype=np.complex128)
-            for s, f in zip(geom.sectors, geom.sector_bases):
-                assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-15)
-                assert np.allclose(f @ f.conj().T, linalg.parity_projection(identity, geom.perm, s),
-                                   atol=1e-15)
+def test_face_bases_span_the_face():
+    # X C_s (X = R (x) I_B') is an orthonormal basis of the vectors of sector s
+    # in R (x) H_B'.  Its dimension is checked against the kernel of
+    # Pi_ker(rho) (x) I_B' compressed to the sector (the range of the parity
+    # projection of the identity).  With d_b = 1 every swap eigenvalue is 1
+    # up to rounding, so a relative cut on the face would lose face vectors.
+    rng = np.random.default_rng(2020)
+    for d_a, d_b in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)):
+        n = d_a * d_b
+        identity = np.eye(n * d_b, dtype=np.complex128)
+        for rank in range(1, n):
+            range_basis = linalg.support(random_state(d_a, d_b, rng, rank=rank).matrix)[1]
+            x = np.kron(range_basis, np.eye(d_b))
+            kernel = np.kron(np.eye(n) - range_basis @ range_basis.conj().T, np.eye(d_b))
+            for symmetry in oracle.SYMMETRIES:
+                geom = oracle._geometry(d_a, d_b, symmetry)
+                for s, c in zip(geom.sectors, oracle._face_bases(geom, range_basis)):
+                    f = x @ c
+                    assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-12)
+                    assert linalg.frobenius(kernel @ f) < 1e-12
+                    assert np.allclose(f[geom.perm], s * f, atol=1e-12)
+                    sector = linalg.support(linalg.parity_projection(identity, geom.perm, s))[1]
+                    expected = np.count_nonzero(~linalg.above_cut(np.linalg.eigvalsh(
+                        sector.conj().T @ kernel @ sector)))
+                    assert f.shape[1] == expected, (d_a, d_b, rank, symmetry, s)
 
 
 def test_geometry_embed_and_reduce(rng):
@@ -481,19 +496,34 @@ def test_rank3_qubit_qutrit_draws_all_decided():
         assert_backed(result, rho)
 
 
+def test_rank2_qubit_qutrit_draws_all_decided():
+    # one of these draws stalled Undecided in the full-space loop, and
+    # rank2_violation finds no violation for it; the face decides all of them
+    rng = np.random.default_rng(1234)
+    draws = [random_state(3, 2, rng, rank=2) for _ in range(20)]
+    for symmetry in oracle.SYMMETRIES:
+        for i, rho in enumerate(draws):
+            result = find_symmetric_extension(rho, OracleOptions(symmetry=symmetry))
+            assert result.status is not Feasibility.UNDECIDED, (symmetry, i)
+            assert_backed(result, rho, symmetry)
+
+
 class TestFace:
     def test_face_vectors_lie_in_the_support(self, rng):
-        # F_s spans the vectors of each sector that Pi_ker(rho) (x) I_B' kills
+        # X = R (x) I_B' has orthonormal columns that Pi_ker(rho) (x) I_B'
+        # kills; the coordinates C_s are orthonormal eigenvectors of the swap
+        # compressed to X, with eigenvalue s
         for symmetry in oracle.SYMMETRIES:
             rho = random_state(3, 2, rng, rank=4)
-            geom = oracle._ExtensionGeometry(3, 2, symmetry)
+            face = face_of(rho, symmetry)
             range_basis = linalg.support(rho.matrix)[1]
             kernel = np.kron(np.eye(6) - range_basis @ range_basis.conj().T, np.eye(2))
-            for f in oracle._face_bases(geom, range_basis):
-                assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-12)
-                assert linalg.frobenius(kernel @ f) < 1e-12
-                if symmetry != "any":
-                    assert np.allclose(f[geom.perm], geom.parity * f, atol=1e-12)
+            assert np.allclose(face.x.conj().T @ face.x, np.eye(8), atol=1e-12)
+            assert linalg.frobenius(kernel @ face.x) < 1e-12
+            swap = face.x.conj().T @ face.x[face.geom.perm]
+            for s, c in zip(face.geom.sectors, face.bases):
+                assert np.allclose(c.conj().T @ c, np.eye(c.shape[1]), atol=1e-12)
+                assert np.allclose(swap @ c, s * c, atol=1e-12)
 
     def test_empty_face(self, rng):
         # an entangled pure state: no vector of R (x) H_B' is swap-invariant
