@@ -9,7 +9,12 @@ The three modes differ only in the parity sectors of the B <-> B' swap that
 S (the projection of the mode, :func:`linalg.parity_projection`) keeps, and
 the constraint operator C = tr_B' o S o ( . (x) I/d_b) has one closed-form
 pseudo-inverse C^+ for all of them.  The iteration starts at
-S(rho (x) I/d_b) and its iterates stay in the range of S.
+S(rho (x) I/d_b) and its iterates stay in the range of S.  A bosonic or
+fermionic S keeps one sector, of dimension k_s = d_a d_b (d_b +- 1)/2 of
+N = d_a d_b^2, and the other contributes only zero eigenvalues, so in those
+modes every eigendecomposition of the full-space iteration (its residual, its
+PSD step and the certificate shift) runs on the k_s x k_s block of the kept
+sector; mode "any" keeps both sectors and decomposes the whole N x N matrix.
 
 Feasibility is certified by an explicit witness that is independently
 re-verified.  Infeasibility is certified by a dual witness: a Hermitian W on
@@ -184,7 +189,16 @@ class _ExtensionGeometry:
     """Projections for one (d_a, d_b, symmetry) problem instance.
 
     S is the projection of the symmetry mode: the swap-invariant part in mode
-    "any" (parity 0), the symmetric or antisymmetric sector otherwise.
+    "any" (parity 0), the symmetric or antisymmetric sector otherwise.  A
+    bosonic or fermionic S keeps one sector, of dimension
+    k_s = d_a d_b (d_b + s)/2, with the orthonormal basis
+    |a i j> (i = j, s = +1) and (|a i j> + s |a j i>)/sqrt(2) (i < j), the
+    columns of ``basis``.  In it a matrix x in the range of S is the
+    k_s x k_s block D x[I, I] D, with I (``rows``) the indices of |a i j>,
+    i <= j (s = +1) or i < j (s = -1), and D (``scale``) sqrt(2) where i < j
+    and 1 where i = j; x has the block's eigenvalues and N - k_s zeros, and a
+    block Y is ``basis`` Y ``basis``^dag back on the full space (the parity
+    projection of D Y D scattered into rows and columns I).
     """
 
     def __init__(self, d_a: int, d_b: int, symmetry: str):
@@ -197,6 +211,17 @@ class _ExtensionGeometry:
         c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in self.sectors)
         self.inv0, self.inv1 = (0.0 if abs(c) <= 1e-12 else 1.0 / c
                                 for c in (c0, c0 + len(self.sectors) / 4.0))
+        self.rows = self.scale = self.basis = None
+        if self.parity != 0:
+            i, j = np.indices((d_a, d_b, d_b))[1:].reshape(2, -1)
+            self.rows = np.flatnonzero(i <= j if self.parity > 0 else i < j)
+            self.scale = np.where(i[self.rows] < j[self.rows], np.sqrt(2.0), 1.0)
+            scatter = np.zeros((self.perm.size, self.rows.size), dtype=np.complex128)
+            scatter[self.rows, np.arange(self.rows.size)] = self.scale
+            self.basis = 0.5 * (scatter + self.parity * scatter[self.perm])
+            self._index, self._outer = np.ix_(self.rows, self.rows), np.outer(self.scale, self.scale)
+            for a in (self.rows, self.scale, self.basis, self._outer):
+                a.flags.writeable = False  # shared like perm
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the last factor (B' of A B B', or B of A B)."""
@@ -245,9 +270,27 @@ class _ExtensionGeometry:
         w = -self.solve_constraint(self.reduce(step))
         return 0.5 * (w + w.conj().T)
 
+    def spectrum(self, x: np.ndarray) -> np.ndarray:
+        """Eigenvalues of x in the range of S; one sector's block leaves out N - k_s zeros."""
+        if self.rows is None:
+            return np.linalg.eigvalsh(x)
+        return np.linalg.eigvalsh(self._block(x))
+
+    def psd_part(self, x: np.ndarray) -> np.ndarray:
+        """Projection onto the PSD cone of x in the range of S, which it stays in."""
+        if self.rows is None:
+            return _psd_part(x)
+        w, vecs = np.linalg.eigh(self._block(x))
+        vecs = self.basis @ vecs
+        return (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        """D x[I, I] D, x in the sector's orthonormal basis."""
+        return x[self._index] * self._outer
+
     def certificate_shift(self, w: np.ndarray) -> float:
         """Smallest mu >= 0 with S((W + mu I) (x) I_B') PSD."""
-        lam = np.linalg.eigvalsh(self.lift(w))[0]
+        lam = self.spectrum(self.lift(w)).min(initial=0.0)
         return self.d_b * max(0.0, -float(lam))
 
     def certified(self, w: np.ndarray, rho: BipartiteState) -> np.ndarray | None:
@@ -315,14 +358,15 @@ def find_symmetric_extension(rho: BipartiteState, opts: OracleOptions | None = N
 
     lam, range_basis = linalg.support(target)
     if lam.size < target.shape[0]:
-        bases = _face_bases(geom, range_basis)
+        x = np.kron(range_basis, np.eye(d_b))
+        bases = _face_bases(geom, x)
         if lam.size ** 2 * sum(f.shape[1] ** 2 for f in bases) <= MAX_FACE_ENTRIES:
-            return _decide_on_face(_Face(rho, geom, range_basis, bases), method)
+            return _decide_on_face(_Face(rho, geom, range_basis, x, bases), method)
 
     # Starting in the range of S keeps every iterate there: the PSD part of an
     # S-invariant matrix is S-invariant.
     outcome = _douglas_rachford(geom.lift(target), lambda z: geom.project_affine(z, target),
-                                np.linalg.eigvalsh, _psd_part,
+                                geom.spectrum, geom.psd_part,
                                 lambda step: geom.certified(geom.dual_candidate(step), rho))
     return _loop_result(outcome, rho, method, lambda x: x)
 
@@ -465,8 +509,9 @@ def _loop_result(outcome, rho: BipartiteState, method: str, extension) -> Feasib
 class _Face:
     """The face of the extension problem that the support of rho leaves.
 
-    ``bases`` holds, for each sector S keeps, the coordinates C_s (r d_b x k_s,
-    possibly no columns) of the face's orthonormal basis X C_s, X = R (x) I_B'.
+    ``x`` is X = R (x) I_B' (as given to :func:`_face_bases`), and ``bases``
+    holds, for each sector S keeps, the coordinates C_s (r d_b x k_s, possibly
+    no columns) of the face's orthonormal basis X C_s.
     A point y stacks the blocks Y_s of sigma = X (sum_s C_s Y_s C_s^dag) X^dag
     row-major.  As R^dag tr_B'(X Z X^dag) R = tr_B'(Z), the reduction
     constraint R^dag tr_B'(sigma) R = R^dag rho R reads M y = b with M built
@@ -474,10 +519,9 @@ class _Face:
     """
 
     def __init__(self, rho: BipartiteState, geom: _ExtensionGeometry, range_basis: np.ndarray,
-                 bases: list[np.ndarray]):
+                 x: np.ndarray, bases: list[np.ndarray]):
         self.rho, self.geom = rho, geom
-        self.range, self.bases = range_basis, bases
-        self.x = np.kron(range_basis, np.eye(geom.d_b))
+        self.range, self.x, self.bases = range_basis, x, bases
         r = range_basis.shape[1]
         self.sizes = [c.shape[1] for c in bases]
         self.offsets = np.cumsum([0] + [k * k for k in self.sizes])
@@ -490,8 +534,9 @@ class _Face:
         u, s, vh = np.linalg.svd(self.m, full_matrices=False)
         keep = linalg.above_cut(s)
         self.u, self.s, self.vh = u[:, keep], s[keep], vh[keep]
+        self.v = linalg.dagger(self.vh)
         # the least-squares point of least norm
-        self.y0 = linalg.dagger(self.vh) @ ((linalg.dagger(self.u) @ self.b) / self.s)
+        self.y0 = self.v @ ((linalg.dagger(self.u) @ self.b) / self.s)
 
     def blocks(self, y: np.ndarray) -> list[np.ndarray]:
         return [y[lo:hi].reshape(k, k) for lo, hi, k in zip(self.offsets, self.offsets[1:], self.sizes)]
@@ -506,7 +551,7 @@ class _Face:
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {M y = U U^dag b}."""
-        return self.y0 + z - linalg.dagger(self.vh) @ (self.vh @ z)
+        return self.y0 + z - self.v @ (self.vh @ z)
 
     def eigvalsh(self, y: np.ndarray) -> np.ndarray:
         return np.concatenate([np.linalg.eigvalsh(blk) for blk in self.blocks(y)])
@@ -544,7 +589,7 @@ class _Face:
         return None
 
 
-def _face_bases(geom: _ExtensionGeometry, range_basis: np.ndarray) -> list[np.ndarray]:
+def _face_bases(geom: _ExtensionGeometry, x: np.ndarray) -> list[np.ndarray]:
     """Per sector s that S keeps, the coordinates C_s of the face in X = R (x) I_B'.
 
     One eigh of Q = X^dag P X, P the swap: for an eigenpair (lambda, c),
@@ -553,7 +598,6 @@ def _face_bases(geom: _ExtensionGeometry, range_basis: np.ndarray) -> list[np.nd
     where it is at most ZERO_CUTOFF.  The cut is absolute: with d_b = 1 every
     lambda is 1 up to rounding, and a relative cut would drop face vectors.
     """
-    x = np.kron(range_basis, np.eye(geom.d_b))
     vals, vecs = np.linalg.eigh(linalg.dagger(x) @ x[geom.perm])
     return [vecs[:, (1.0 - s * vals) / 2.0 <= linalg.ZERO_CUTOFF] for s in geom.sectors]
 

@@ -61,3 +61,39 @@ def bell_state():
 @pytest.fixture
 def maximally_mixed():
     return BipartiteState(np.eye(4) / 4.0, 2, 2)
+
+
+def isotropic_state(d: int, f: float) -> BipartiteState:
+    """F |Phi><Phi| + (1 - F)(I - |Phi><Phi|)/(d^2 - 1), |Phi> maximally entangled."""
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(phi, phi)
+    return BipartiteState(f * proj + (1.0 - f) * (np.eye(d * d) - proj) / (d * d - 1), d, d)
+
+
+def werner_state(d: int, q: float) -> BipartiteState:
+    """q Pi_-/d_- + (1 - q) Pi_+/d_+, Pi_+- the (anti)symmetric projectors of C^d (x) C^d."""
+    swap, identity = linalg.swap_operator(d), np.eye(d * d)
+    mat = q * (identity - swap) / (d * (d - 1)) + (1.0 - q) * (identity + swap) / (d * (d + 1))
+    return BipartiteState(mat, d, d)
+
+
+def johnson_viola_states(rng: np.random.Generator):
+    """Yield (label, rho, extendible) for d = 2..6 qudit states 0.02 from their known threshold.
+
+    Johnson and Viola, "Compatible quantum correlations: Extension problems
+    for Werner and isotropic states", PRA 88, 032323 (2013): an isotropic
+    state (:func:`isotropic_state`) is symmetric extendible iff
+    F <= (d + 1)/(2d), and a Werner state (:func:`werner_state`) iff
+    q <= min(1, (d + 1)/4).  Isotropic states come at F = (d + 1)/(2d) +- 0.02;
+    Werner states at q = min(1, (d + 1)/4) - 0.02, and + 0.02 where that
+    threshold is below 1 (d = 2 only).  Each is rotated by a random
+    U_A (x) U_B, which keeps extendibility.
+    """
+    for d in range(2, 7):
+        for family, make, threshold in (("isotropic", isotropic_state, (d + 1) / (2 * d)),
+                                        ("werner", werner_state, min(1.0, (d + 1) / 4))):
+            for delta in (-0.02, 0.02) if threshold < 1.0 else (-0.02,):
+                u = linalg.tensor(random_unitary(d, rng), random_unitary(d, rng))
+                rho = make(d, threshold + delta)
+                yield (f"{family}:{d}:{delta:+.2f}", BipartiteState(u @ rho.matrix @ u.conj().T, d, d),
+                       delta < 0.0)

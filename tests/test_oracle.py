@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from conftest import random_rank2_state, random_state, random_unitary, traced_symmetric_state
+from conftest import (
+    isotropic_state,
+    johnson_viola_states,
+    random_rank2_state,
+    random_state,
+    random_unitary,
+    traced_symmetric_state,
+    werner_state,
+)
 
 from symext import gallery, linalg, oracle, states, twoqubit
 from symext.errors import DimensionMismatch, NotSymmetric, TooLarge, WrongDimension
@@ -358,7 +366,7 @@ def test_face_bases_span_the_face():
             kernel = np.kron(np.eye(n) - range_basis @ range_basis.conj().T, np.eye(d_b))
             for symmetry in oracle.SYMMETRIES:
                 geom = oracle._geometry(d_a, d_b, symmetry)
-                for s, c in zip(geom.sectors, oracle._face_bases(geom, range_basis)):
+                for s, c in zip(geom.sectors, oracle._face_bases(geom, x)):
                     f = x @ c
                     assert np.allclose(f.conj().T @ f, np.eye(f.shape[1]), atol=1e-12)
                     assert linalg.frobenius(kernel @ f) < 1e-12
@@ -393,6 +401,55 @@ def test_geometry_embed_and_reduce(rng):
                 assert linalg.frobenius(unreachable) > 1e-3
             else:
                 assert not unreachable.any()
+
+
+@pytest.mark.parametrize("symmetry", ["bosonic", "fermionic"])
+def test_sector_block_matches_the_whole_matrix(symmetry):
+    # A matrix x in the range of S has the eigenvalues of its k_s x k_s sector
+    # block and N - k_s zeros, and the block's PSD part lifts back to that of
+    # x.  certificate_shift matches d_b max(0, -lambda_min) of the whole lift,
+    # also with d_b = 1 in fermionic mode, where the block is 0 x 0.
+    rng = np.random.default_rng(2004)
+    for d_a, d_b in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)):
+        geom = oracle._geometry(d_a, d_b, symmetry)
+        n, k = d_a * d_b * d_b, d_a * d_b * (d_b + geom.parity) // 2
+        assert geom.rows.size == geom.scale.size == k
+        assert not (geom.rows.flags.writeable or geom.scale.flags.writeable)
+        for _ in range(3):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = linalg.parity_projection(g + g.conj().T, geom.perm, geom.parity)
+            padded = np.sort(np.concatenate([geom.spectrum(x), np.zeros(n - k)]))
+            assert np.allclose(padded, np.linalg.eigvalsh(x), rtol=0.0, atol=1e-12)
+            assert np.allclose(geom.psd_part(x), oracle._psd_part(x), rtol=0.0, atol=1e-12)
+            h = rng.standard_normal((d_a * d_b,) * 2) + 1j * rng.standard_normal((d_a * d_b,) * 2)
+            w = h + h.conj().T
+            expected = d_b * max(0.0, -float(np.linalg.eigvalsh(geom.lift(w))[0]))
+            assert abs(geom.certificate_shift(w) - expected) <= 1e-12, (d_a, d_b)
+            if k == 0:
+                assert geom.certificate_shift(w) == 0.0
+
+
+def test_johnson_viola_thresholds():
+    # Isotropic and Werner states at d = 2..6, 0.02 from their thresholds
+    # (conftest.johnson_viola_states): mode "any" gives the known verdict, a
+    # state above its threshold has no bosonic or fermionic extension either
+    # (each is a symmetric one), and nothing is undecided.  Full rank, so the
+    # full-space kernel runs, on one swap sector outside mode "any", up to
+    # N = 216.  At d = 2, gallery.werner(p) is the isotropic state with
+    # F = (3p + 1)/4, so its threshold 2/3 is F = 3/4, and the Werner state
+    # with weight q is the isotropic one with F = q up to I (x) iY.
+    p = gallery.werner_threshold()
+    assert abs((3.0 * p + 1.0) / 4.0 - 3.0 / 4.0) < 1e-9
+    assert np.allclose(gallery.werner(p).matrix, isotropic_state(2, (3.0 * p + 1.0) / 4.0).matrix, atol=1e-15)
+    flip = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.allclose(werner_state(2, 0.7).matrix, flip @ isotropic_state(2, 0.7).matrix @ flip.T, atol=1e-15)
+    for label, rho, extendible in johnson_viola_states(np.random.default_rng(2013)):
+        for symmetry in oracle.SYMMETRIES:
+            result = find_symmetric_extension(rho, OracleOptions(symmetry=symmetry))
+            assert result.status is not Feasibility.UNDECIDED, (label, symmetry)
+            if symmetry == "any" or not extendible:
+                assert result.feasible is extendible, (label, symmetry)
+            assert_backed(result, rho, symmetry)
 
 
 def test_undecided_criterion_7_draws_now_feasible():
@@ -463,7 +520,8 @@ def test_invalid_witness_is_rejected(bell_state):
 def face_of(rho, symmetry="any"):
     geom = oracle._ExtensionGeometry(rho.d_a, rho.d_b, symmetry)
     range_basis = linalg.support(rho.matrix)[1]
-    return oracle._Face(rho, geom, range_basis, oracle._face_bases(geom, range_basis))
+    x = np.kron(range_basis, np.eye(rho.d_b))
+    return oracle._Face(rho, geom, range_basis, x, oracle._face_bases(geom, x))
 
 
 def assert_backed(result, rho, symmetry="any"):

@@ -15,7 +15,9 @@ and ``proven``.  The set:
   n/2, n-1 and n (three each) and traced states, in every mode;
 - ``local``: the states of ``tests/test_oracle.py::test_verdict_invariant_under_local_maps``,
   each with its U_A (x) U_B rotation and its A-filtered copy, under
-  ``find_symmetric_extension`` and ``decide``.
+  ``find_symmetric_extension`` and ``decide``;
+- ``jv``: the isotropic and Werner states of ``tests/test_oracle.py::test_johnson_viola_thresholds``
+  (d = 2 to 6, 0.02 on either side of the Johnson-Viola thresholds), in every mode.
 
 ``--src`` selects the ``symext`` sources; the generators come from this
 checkout's ``bench/inputs.py`` and ``tests/conftest.py``.  Iteration counts
@@ -40,7 +42,7 @@ def _calls():
     """Yield (label, thunk) for every call of the set, in a fixed order."""
     import inputs
     import numpy as np
-    from conftest import random_state, random_unitary, traced_symmetric_state
+    from conftest import johnson_viola_states, random_state, random_unitary, traced_symmetric_state
 
     from symext import channels, linalg, states
     from symext.oracle import SYMMETRIES, OracleOptions, decide, find_symmetric_extension
@@ -93,6 +95,11 @@ def _calls():
                 for fn in (find_symmetric_extension, decide):
                     for name, x in (("rho", rho), ("rotated", rotated), ("filtered", filtered)):
                         yield f"local:{mode}:{d_a}x{d_b}:{i}:{name}:{fn.__name__}", solve(x, mode, fn)
+
+    # the draws of test_johnson_viola_thresholds, in its order
+    for label, rho, _ in johnson_viola_states(np.random.default_rng(2013)):
+        for mode in SYMMETRIES:
+            yield f"jv:{label}:{mode}", solve(rho, mode)
 
 
 def main(argv=None) -> int:
