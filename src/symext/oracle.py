@@ -9,12 +9,16 @@ The three modes differ only in the parity sectors of the B <-> B' swap that
 S (the projection of the mode, :func:`linalg.parity_projection`) keeps, and
 the constraint operator C = tr_B' o S o ( . (x) I/d_b) has one closed-form
 pseudo-inverse C^+ for all of them.  The iteration starts at
-S(rho (x) I/d_b) and its iterates stay in the range of S.  A bosonic or
-fermionic S keeps one sector, of dimension k_s = d_a d_b (d_b +- 1)/2 of
-N = d_a d_b^2, and the other contributes only zero eigenvalues, so in those
-modes every eigendecomposition of the full-space iteration (its residual, its
-PSD step and the certificate shift) runs on the k_s x k_s block of the kept
-sector; mode "any" keeps both sectors and decomposes the whole N x N matrix.
+S(rho (x) I/d_b) and its iterates stay in the range of S, so they commute
+with the swap and are block diagonal on its two sectors, of dimensions
+k_s = d_a d_b (d_b +- 1)/2 of N = d_a d_b^2 (Doherty, Parrilo and
+Spedalieri, PRA 69, 022308 (2004)).  Every eigendecomposition of the
+full-space iteration (its residual, its PSD step and the certificate shift)
+runs on the blocks of the sectors S keeps: one in bosonic and fermionic
+mode, whose other sector adds only zero eigenvalues, and both in mode "any"
+above N = WHOLE_EIGH_MAX_DIM = 25, where LAPACK's eigensolver would leave its
+single-threaded QR path.  Up to 25 mode "any" decomposes the whole N x N
+matrix, which is cheaper there than two blocks.
 
 Feasibility is certified by an explicit witness that is independently
 re-verified.  Infeasibility is certified by a dual witness: a Hermitian W on
@@ -103,6 +107,15 @@ STALL_IMPROVEMENT = 1e-7
 # (r^2 * sum_s k_s^2; 2^22 complex entries are 64 MB).
 MAX_FACE_ENTRIES = 2 ** 22
 
+# Mode "any" eigendecomposes the whole N x N iterate up to this extension
+# dimension N and its two swap-sector blocks above it.  LAPACK's Hermitian
+# eigensolver (xSTEDC) runs its QR path up to n = SMLSIZ = 25 and divide and
+# conquer, which calls threaded BLAS-3, above it.  Up to 25 one whole eigh is
+# cheaper than two smaller ones.  Above it the blocks cost fewer flops, and
+# at 3x3, 2x4 and 4x3 (N = 27, 32, 36; blocks 18 and 9, 20 and 12, 24 and
+# 12 wide) each stays on the single-threaded QR path.
+WHOLE_EIGH_MAX_DIM = 25
+
 # Every witness a verdict rests on re-verifies at this tolerance.
 WITNESS_TOL = 1e-7
 
@@ -185,20 +198,73 @@ class FeasibilityResult:
         return self.status is Feasibility.INFEASIBLE
 
 
+class _SectorBlock:
+    """The diagonal block of a swap-invariant matrix on parity sector s of the B <-> B' swap P.
+
+    The sector has dimension k_s = d_a d_b (d_b + s)/2 and the orthonormal
+    basis |a i j> (i = j, s = +1) and (|a i j> + s |a j i>)/sqrt(2) (i < j),
+    the columns of ``basis``.  With I the indices of |a i j>, i <= j
+    (s = +1) or i < j (s = -1), and D sqrt(2) where i < j and 1 where i = j,
+    the block of an x with P x P = x is
+    basis^dag x basis = (x[I, I] + s x[I, P(I)]) D D^T / 2, gathered through
+    the flat indices ``index`` of x[I, I] and x[I, P(I)] and the weights
+    ``weight`` = D D^T / 2.  For an x in the sector itself
+    (x[I, P(I)] = s x[I, I]) that is D x[I, I] D.
+    """
+
+    def __init__(self, d_a: int, d_b: int, perm: np.ndarray, s: int):
+        n = perm.size
+        i, j = np.indices((d_a, d_b, d_b))[1:].reshape(2, -1)
+        rows = np.flatnonzero(i <= j if s > 0 else i < j)
+        scale = np.where(i[rows] < j[rows], np.sqrt(2.0), 1.0)
+        self.s = s
+        self.index = np.stack([rows[:, None] * n + rows, rows[:, None] * n + perm[rows]])
+        self.weight = np.outer(scale, scale) / 2.0
+        scatter = np.zeros((n, rows.size), dtype=np.complex128)
+        scatter[rows, np.arange(rows.size)] = scale
+        self.basis = 0.5 * (scatter + s * scatter[perm])
+        for a in (self.index, self.weight, self.basis):
+            a.flags.writeable = False  # shared like _ExtensionGeometry.perm
+
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        t = x.take(self.index)
+        return (t[0] + self.s * t[1]) * self.weight
+
+    def spectrum(self, x: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(self._block(x))
+
+    def psd_part(self, x: np.ndarray) -> np.ndarray:
+        """basis psd(block) basis^dag: the PSD part of x on this sector."""
+        w, vecs = np.linalg.eigh(self._block(x))
+        vecs = self.basis @ vecs
+        return (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
+
+
+class _WholeMatrix:
+    """The whole N x N matrix as its own one block."""
+
+    @staticmethod
+    def spectrum(x: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(x)
+
+    @staticmethod
+    def psd_part(x: np.ndarray) -> np.ndarray:
+        return _psd_part(x)
+
+
 class _ExtensionGeometry:
     """Projections for one (d_a, d_b, symmetry) problem instance.
 
     S is the projection of the symmetry mode: the swap-invariant part in mode
     "any" (parity 0), the symmetric or antisymmetric sector otherwise.  A
-    bosonic or fermionic S keeps one sector, of dimension
-    k_s = d_a d_b (d_b + s)/2, with the orthonormal basis
-    |a i j> (i = j, s = +1) and (|a i j> + s |a j i>)/sqrt(2) (i < j), the
-    columns of ``basis``.  In it a matrix x in the range of S is the
-    k_s x k_s block D x[I, I] D, with I (``rows``) the indices of |a i j>,
-    i <= j (s = +1) or i < j (s = -1), and D (``scale``) sqrt(2) where i < j
-    and 1 where i = j; x has the block's eigenvalues and N - k_s zeros, and a
-    block Y is ``basis`` Y ``basis``^dag back on the full space (the parity
-    projection of D Y D scattered into rows and columns I).
+    matrix x in the range of S commutes with the swap, so it is block
+    diagonal on the swap's two sectors, and ``blocks`` lists what every
+    eigendecomposition of x runs on: the kept sector's :class:`_SectorBlock`
+    in bosonic and fermionic mode (x has N - k_s more eigenvalues, all
+    zero), both sectors' in mode "any" when N = d_a d_b^2 exceeds
+    WHOLE_EIGH_MAX_DIM, and :class:`_WholeMatrix` in mode "any" up to that
+    size, where one eigh of the whole N x N matrix is cheaper than two and
+    LAPACK keeps it single-threaded.
     """
 
     def __init__(self, d_a: int, d_b: int, symmetry: str):
@@ -211,17 +277,10 @@ class _ExtensionGeometry:
         c0 = sum((1.0 + 2.0 * s / d_b) / 4.0 for s in self.sectors)
         self.inv0, self.inv1 = (0.0 if abs(c) <= 1e-12 else 1.0 / c
                                 for c in (c0, c0 + len(self.sectors) / 4.0))
-        self.rows = self.scale = self.basis = None
-        if self.parity != 0:
-            i, j = np.indices((d_a, d_b, d_b))[1:].reshape(2, -1)
-            self.rows = np.flatnonzero(i <= j if self.parity > 0 else i < j)
-            self.scale = np.where(i[self.rows] < j[self.rows], np.sqrt(2.0), 1.0)
-            scatter = np.zeros((self.perm.size, self.rows.size), dtype=np.complex128)
-            scatter[self.rows, np.arange(self.rows.size)] = self.scale
-            self.basis = 0.5 * (scatter + self.parity * scatter[self.perm])
-            self._index, self._outer = np.ix_(self.rows, self.rows), np.outer(self.scale, self.scale)
-            for a in (self.rows, self.scale, self.basis, self._outer):
-                a.flags.writeable = False  # shared like perm
+        if self.parity == 0 and self.perm.size <= WHOLE_EIGH_MAX_DIM:
+            self.blocks = (_WholeMatrix(),)
+        else:
+            self.blocks = tuple(_SectorBlock(d_a, d_b, self.perm, s) for s in self.sectors)
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
         """Partial trace over the last factor (B' of A B B', or B of A B)."""
@@ -271,22 +330,14 @@ class _ExtensionGeometry:
         return 0.5 * (w + w.conj().T)
 
     def spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Eigenvalues of x in the range of S; one sector's block leaves out N - k_s zeros."""
-        if self.rows is None:
-            return np.linalg.eigvalsh(x)
-        return np.linalg.eigvalsh(self._block(x))
+        """Eigenvalues of x in the range of S, block by block; one sector's block leaves out N - k_s zeros."""
+        first, *rest = (block.spectrum(x) for block in self.blocks)
+        return np.concatenate([first, *rest]) if rest else first
 
     def psd_part(self, x: np.ndarray) -> np.ndarray:
         """Projection onto the PSD cone of x in the range of S, which it stays in."""
-        if self.rows is None:
-            return _psd_part(x)
-        w, vecs = np.linalg.eigh(self._block(x))
-        vecs = self.basis @ vecs
-        return (vecs * np.maximum(w, 0.0)) @ vecs.conj().T
-
-    def _block(self, x: np.ndarray) -> np.ndarray:
-        """D x[I, I] D, x in the sector's orthonormal basis."""
-        return x[self._index] * self._outer
+        first, *rest = (block.psd_part(x) for block in self.blocks)
+        return sum(rest, first)
 
     def certificate_shift(self, w: np.ndarray) -> float:
         """Smallest mu >= 0 with S((W + mu I) (x) I_B') PSD."""

@@ -403,24 +403,47 @@ def test_geometry_embed_and_reduce(rng):
                 assert not unreachable.any()
 
 
-@pytest.mark.parametrize("symmetry", ["bosonic", "fermionic"])
-def test_sector_block_matches_the_whole_matrix(symmetry):
-    # A matrix x in the range of S has the eigenvalues of its k_s x k_s sector
-    # block and N - k_s zeros, and the block's PSD part lifts back to that of
-    # x.  certificate_shift matches d_b max(0, -lambda_min) of the whole lift,
-    # also with d_b = 1 in fermionic mode, where the block is 0 x 0.
+@pytest.mark.parametrize("symmetry", oracle.SYMMETRIES)
+def test_sector_block_matches_the_whole_matrix(symmetry, monkeypatch):
+    # A matrix x in the range of S has the eigenvalues of its blocks (N - k_s
+    # zeros more when one sector is kept), and the blocks' PSD parts lift
+    # back to that of x.  certificate_shift matches d_b max(0, -lambda_min)
+    # of the whole lift, also with d_b = 1 in fermionic mode, where the block
+    # is 0 x 0.  Mode "any" is whole up to WHOLE_EIGH_MAX_DIM and split above
+    # it.  At 3x3, 2x4 and 4x3 (25 < N <= 36) every block eigendecomposed
+    # stays within LAPACK's QR path (n <= 25); with d_b = 1 the swap is the
+    # identity, so the symmetric block of 30x1 is the whole matrix and the
+    # antisymmetric one is empty.
+    widths = []
+
+    def recording(decompose):
+        def run(a, *args, **kwargs):
+            widths.append(a.shape[0])
+            return decompose(a, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     rng = np.random.default_rng(2004)
-    for d_a, d_b in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)):
-        geom = oracle._geometry(d_a, d_b, symmetry)
-        n, k = d_a * d_b * d_b, d_a * d_b * (d_b + geom.parity) // 2
-        assert geom.rows.size == geom.scale.size == k
-        assert not (geom.rows.flags.writeable or geom.scale.flags.writeable)
+    for d_a, d_b in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3), (4, 3), (30, 1)):
+        geom = oracle._ExtensionGeometry(d_a, d_b, symmetry)
+        n = d_a * d_b * d_b
+        k = n if symmetry == "any" else d_a * d_b * (d_b + geom.parity) // 2
+        split = symmetry != "any" or n > oracle.WHOLE_EIGH_MAX_DIM
+        assert len(geom.blocks) == (len(geom.sectors) if split else 1)
+        for block in geom.blocks if split else ():
+            assert not any(a.flags.writeable for a in (block.index, block.weight, block.basis))
         for _ in range(3):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             x = linalg.parity_projection(g + g.conj().T, geom.perm, geom.parity)
-            padded = np.sort(np.concatenate([geom.spectrum(x), np.zeros(n - k)]))
+            del widths[:]
+            spectrum, psd = geom.spectrum(x), geom.psd_part(x)
+            assert sum(widths) == 2 * k
+            if 25 < n <= 36 and d_b > 1:
+                assert max(widths) <= 25, (d_a, d_b, widths)
+            padded = np.sort(np.concatenate([spectrum, np.zeros(n - k)]))
             assert np.allclose(padded, np.linalg.eigvalsh(x), rtol=0.0, atol=1e-12)
-            assert np.allclose(geom.psd_part(x), oracle._psd_part(x), rtol=0.0, atol=1e-12)
+            assert np.allclose(psd, oracle._psd_part(x), rtol=0.0, atol=1e-12)
             h = rng.standard_normal((d_a * d_b,) * 2) + 1j * rng.standard_normal((d_a * d_b,) * 2)
             w = h + h.conj().T
             expected = d_b * max(0.0, -float(np.linalg.eigvalsh(geom.lift(w))[0]))
@@ -429,15 +452,37 @@ def test_sector_block_matches_the_whole_matrix(symmetry):
                 assert geom.certificate_shift(w) == 0.0
 
 
+def test_split_keeps_the_verdict_of_the_whole_matrix(monkeypatch):
+    # Mode "any" on full-rank states above WHOLE_EIGH_MAX_DIM: the iteration
+    # on the two sector blocks stops for the same reason after as many
+    # iterations as the one on the whole matrix.
+    rng = np.random.default_rng(22)
+    states = [random_state(d_a, d_b, rng) for d_a, d_b in ((3, 3), (2, 4), (4, 3)) for _ in range(2)]
+
+    def verdicts():
+        oracle._geometry.cache_clear()
+        found = [find_symmetric_extension(rho) for rho in states]
+        return [(r.status, r.stop_reason, r.iterations) for r in found]
+
+    split = verdicts()
+    monkeypatch.setattr(oracle, "WHOLE_EIGH_MAX_DIM", oracle.MAX_EXTENSION_DIM)
+    try:
+        assert verdicts() == split
+    finally:
+        oracle._geometry.cache_clear()
+    assert all(reason in ("converged", "certified") for _, reason, _ in split)
+
+
 def test_johnson_viola_thresholds():
     # Isotropic and Werner states at d = 2..6, 0.02 from their thresholds
     # (conftest.johnson_viola_states): mode "any" gives the known verdict, a
     # state above its threshold has no bosonic or fermionic extension either
     # (each is a symmetric one), and nothing is undecided.  Full rank, so the
-    # full-space kernel runs, on one swap sector outside mode "any", up to
-    # N = 216.  At d = 2, gallery.werner(p) is the isotropic state with
-    # F = (3p + 1)/4, so its threshold 2/3 is F = 3/4, and the Werner state
-    # with weight q is the isotropic one with F = q up to I (x) iY.
+    # full-space kernel runs, on one swap sector outside mode "any" and on
+    # both in mode "any" from N = 27, up to N = 216.  At d = 2,
+    # gallery.werner(p) is the isotropic state with F = (3p + 1)/4, so its
+    # threshold 2/3 is F = 3/4, and the Werner state with weight q is the
+    # isotropic one with F = q up to I (x) iY.
     p = gallery.werner_threshold()
     assert abs((3.0 * p + 1.0) / 4.0 - 3.0 / 4.0) < 1e-9
     assert np.allclose(gallery.werner(p).matrix, isotropic_state(2, (3.0 * p + 1.0) / 4.0).matrix, atol=1e-15)
