@@ -24,7 +24,15 @@ from .channels import (
     complementary_channel,
 )
 from .errors import OutOfRange, SymextError
-from .oracle import WITNESS_TOL, Feasibility, FeasibilityResult, OracleOptions, decide, find_symmetric_extension
+from .oracle import (
+    SYMMETRIES,
+    WITNESS_TOL,
+    Feasibility,
+    FeasibilityResult,
+    OracleOptions,
+    decide,
+    find_symmetric_extension,
+)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--symmetry", choices=["any", "bosonic", "fermionic"], default="any")
+        p.add_argument("--symmetry", choices=SYMMETRIES, default="any")
         p.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="decide symmetric extendibility of a state file")

@@ -66,16 +66,17 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m: ComplexMatrix, tol: float = HERMITICITY_TOL) -> HermitianEigen:
+def hermitian_eig(m: ComplexMatrix) -> HermitianEigen:
     """Eigendecompose a Hermitian matrix.
 
-    Raises NotHermitian when the relative Frobenius defect exceeds ``tol``.
-    Backed by LAPACK (``numpy.linalg.eigh``) on the Hermitian part, which is
-    deterministic for identical input on a given platform.
+    Raises NotHermitian when the relative Frobenius defect exceeds
+    HERMITICITY_TOL.  Backed by LAPACK (``numpy.linalg.eigh``) on the
+    Hermitian part, which is deterministic for identical input on a given
+    platform.
     """
     a = as_matrix(m)
-    if hermiticity_defect(a) > tol:
-        raise NotHermitian(f"matrix is not Hermitian within tolerance {tol}")
+    if hermiticity_defect(a) > HERMITICITY_TOL:
+        raise NotHermitian(f"matrix is not Hermitian within tolerance {HERMITICITY_TOL}")
     herm = (a + dagger(a)) / 2.0
     vals, vecs = np.linalg.eigh(herm)
     order = np.argsort(vals, kind="stable")[::-1]
@@ -205,22 +206,20 @@ def state_defect(rho: ComplexMatrix) -> tuple[float, float, float]:
     return herm_defect, float(min(vals.min(), 0.0)), abs(float(np.trace(a).real) - 1.0)
 
 
-def is_density_matrix(rho: ComplexMatrix, herm_tol: float = HERMITICITY_TOL,
-                      eig_tol: float = EIGENVALUE_TOL, trace_tol: float = 1e-9) -> bool:
-    herm_defect, min_eig, trace_err = state_defect(rho)
-    return herm_defect <= herm_tol and min_eig >= -eig_tol and trace_err <= trace_tol
-
-
 def validate_state(rho: ComplexMatrix, name: str = "matrix",
-                   eig_tol: float = EIGENVALUE_TOL, trace_tol: float = 1e-9) -> np.ndarray:
-    """Return ``rho`` as complex128 or raise NotAState with the failing check."""
+                   eig_tol: float = EIGENVALUE_TOL) -> np.ndarray:
+    """Return ``rho`` as complex128 or raise NotAState with the failing check.
+
+    A state has Hermiticity defect at most HERMITICITY_TOL, no eigenvalue
+    below -``eig_tol`` and a trace within 1e-9 of 1.
+    """
     a = as_matrix(rho)
     herm_defect, min_eig, trace_err = state_defect(a)
     if herm_defect > HERMITICITY_TOL:
         raise NotAState(f"{name}: Hermiticity defect {herm_defect:.3e} exceeds {HERMITICITY_TOL}")
     if min_eig < -eig_tol:
         raise NotAState(f"{name}: negative eigenvalue {min_eig:.3e}")
-    if trace_err > trace_tol:
+    if trace_err > 1e-9:
         raise NotAState(f"{name}: trace deviates from 1 by {trace_err:.3e}")
     return a
 

@@ -35,10 +35,8 @@ iterations) switches from the plain step z <- T(z) = z - g to type-II
 Anderson steps over its last ANDERSON_MEMORY step differences, with memory
 cleared whenever ||g|| grows (Walker and Ni, SIAM J. Numer. Anal. 49 (2011);
 Fu, Zhang and Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM J.
-Sci. Comput. 42 (2020)).  Each later check that fails on g tries the
-Anderson-mixed residual, which approximates the minimal displacement vector
-sooner, as a second candidate.  A run of at most ANDERSON_START iterations is
-plain Douglas-Rachford.
+Sci. Comput. 42 (2020)).  A run of at most ANDERSON_START iterations is plain
+Douglas-Rachford.
 
 A rank-deficient rho is decided on its face, and only there.  With R an
 orthonormal basis of its range, every extension lives on (R (x) H_B') within
@@ -440,11 +438,11 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify):
     plain step is z <- T(z) = z - g with g = x - psd_part(2x - z), x =
     project(z); after ANDERSON_START iterations :class:`_Anderson` mixes it.
     Every CERTIFY_EVERY iterations the step difference g goes to ``certify``,
-    which returns a verified infeasibility certificate or None, and when that
-    fails, so does the Anderson-mixed residual.  Returns (stop_reason, found,
-    residual, iterations): "converged" with the affine point whose residual
-    fell to ``linalg.EIGENVALUE_TOL``, "certified" with the certificate, or
-    "stalled" / "iteration-cap" with None and the best residual.
+    which returns a verified infeasibility certificate or None.  Returns
+    (stop_reason, found, residual, iterations): "converged" with the affine
+    point whose residual fell to ``linalg.EIGENVALUE_TOL``, "certified" with
+    the certificate, or "stalled" / "iteration-cap" with None and the best
+    residual.
     """
     # The raw residual wobbles (it can bump up right before the final plunge
     # of a feasible run), so stall detection tracks the monotone running best.
@@ -460,15 +458,12 @@ def _douglas_rachford(z, project, eigvalsh, psd_part, certify):
             return "converged", x, res, it
         psd = psd_part(2.0 * x - z)
         # g = z - T(z) tends to the minimal displacement vector of an
-        # inconsistent problem; the mixed residual approximates it sooner.
+        # inconsistent problem, and is the certificate candidate
         g, z = x - psd, z + psd - x
-        mixing = it >= ANDERSON_START and anderson.push(z, g)
-        if mixing:
+        if it >= ANDERSON_START and anderson.push(z, g):
             z = anderson.step()
         if it % CERTIFY_EVERY == 0:
             cert = certify(g)
-            if cert is None and mixing:
-                cert = certify(anderson.residual())
             if cert is not None:
                 return "certified", cert, best, it
         if it > STALL_WINDOW:
@@ -487,13 +482,12 @@ class _Anderson:
     """Type-II Anderson acceleration of a fixed-point iteration z <- T(z) = z - g.
 
     With the last ANDERSON_MEMORY differences of T(z) and of g as the rows of
-    dT and dG, gamma minimizes ||g - gamma dG||, the step is
-    T(z) - gamma dT and g - gamma dG is the mixed residual.  Inner products
-    are real (the real parts of the Frobenius ones), so gamma is real and
-    Hermitian iterates stay Hermitian.  dT and dG live in ring buffers, and
-    the Gram matrix of dG gains one row per step.  The memory is cleared, and
-    that step left plain, when ||g|| grows, which a plain step never lets
-    happen (T is firmly nonexpansive).
+    dT and dG, gamma minimizes ||g - gamma dG|| and the step is
+    T(z) - gamma dT.  Inner products are real (the real parts of the
+    Frobenius ones), so gamma is real and Hermitian iterates stay Hermitian.
+    dT and dG live in ring buffers, and the Gram matrix of dG gains one row
+    per step.  The memory is cleared, and that step left plain, when ||g||
+    grows, which a plain step never lets happen (T is firmly nonexpansive).
     """
 
     def __init__(self):
@@ -527,11 +521,6 @@ class _Anderson:
             self.count = self.slot = 0
             return False
         return True
-
-    def residual(self) -> np.ndarray:
-        """g - gamma dG for the last iterate pushed."""
-        out = self.last[1] - self.gamma @ self.dg[:self.count]
-        return out.view(np.complex128).reshape(self.shape)
 
     def step(self) -> np.ndarray:
         """T(z) - gamma dT for the last iterate pushed."""
@@ -689,16 +678,11 @@ def _closed_form(ok: bool, name: str, margin: float,
                              float(margin), 0, f"closed-form({name})", proven=True)
 
 
-def _lambda_max_margin(rho: BipartiteState) -> float:
-    """lambda_max(rho_B) - lambda_max(rho_AB)."""
-    return float(linalg.nonzero_eigenvalues(rho.rho_b)[0] - linalg.nonzero_eigenvalues(rho.matrix)[0])
-
-
 def _pure_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | None:
     """A pure state is extendible iff the spectrum condition holds."""
     if rho.purity() < 1.0 - 1e-9:
         return None
-    ok, margin = spectrum_condition(rho), _lambda_max_margin(rho)
+    ok, margin = spectrum_condition(rho), twoqubit.lambda_max_margin(rho.matrix, rho.rho_b)[0]
     if ok and want_witness and (rho.d_a, rho.d_b) == (2, 2):
         return _closed_form(True, "pure-extension", margin, twoqubit.construct_pure_extension(rho))
     return _closed_form(ok, "spectrum", margin)
@@ -722,7 +706,7 @@ def _rank2_step(rho: BipartiteState, want_witness: bool) -> FeasibilityResult | 
         return _closed_form(False, "rank2", violation)
     if rho.d_a != 2:
         return None
-    margin = _lambda_max_margin(rho)
+    margin = twoqubit.lambda_max_margin(rho.matrix, rho.rho_b)[0]
     if want_witness and rho.d_b == 2:
         return _closed_form(True, "rank2-decomposition", margin,
                             twoqubit.rank2_decompose(rho).mixed_extension(rho))
@@ -789,9 +773,10 @@ def _backed(result: FeasibilityResult, rho: BipartiteState) -> bool:
     return result.proven
 
 
-def bosonic_from_symmetric(sigma: TripartiteExtension, tol: float = 1e-8) -> TripartiteExtension:
+def bosonic_from_symmetric(sigma: TripartiteExtension) -> TripartiteExtension:
     """Convert a symmetric extension with qubit B, B' into a bosonic one.
 
+    Raises NotSymmetric when the symmetry residual of ``sigma`` exceeds 1e-8.
     The antisymmetric subspace of C2 (x) C2 is the singlet, so a
     swap-symmetric state is Pi+ sigma Pi+ + tau_A (x) |singlet><singlet| with
     tau_A = <singlet| sigma |singlet>.  Replacing the singlet by the
@@ -800,8 +785,8 @@ def bosonic_from_symmetric(sigma: TripartiteExtension, tol: float = 1e-8) -> Tri
     """
     if sigma.d_b != 2:
         raise WrongDimension("bosonic conversion requires B and B' to be qubits")
-    if sigma.symmetry_residual > tol:
-        raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds {tol}")
+    if sigma.symmetry_residual > 1e-8:
+        raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds 1e-08")
     mat = np.asarray(sigma.matrix)
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     triplet = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)

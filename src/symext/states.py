@@ -158,9 +158,9 @@ def spectra_match(first: Spectrum, second: Spectrum, tol: float = SPECTRUM_MATCH
     return bool(np.max(np.abs(first.values - second.values)) <= tol)
 
 
-def spectrum_condition(rho: BipartiteState, tol: float = SPECTRUM_MATCH_TOL) -> bool:
-    """Whether the non-zero global and B-local spectra agree entrywise."""
-    return spectra_match(spectrum(rho.matrix), spectrum(rho.rho_b), tol)
+def spectrum_condition(rho: BipartiteState) -> bool:
+    """Whether the non-zero global and B-local spectra agree entrywise to SPECTRUM_MATCH_TOL."""
+    return spectra_match(spectrum(rho.matrix), spectrum(rho.rho_b))
 
 
 @dataclass(frozen=True)
@@ -193,17 +193,16 @@ def apply_filter_A(rho: BipartiteState, m: np.ndarray) -> FilterOutcome:
     return FilterOutcome(matrix=out, d_a=filt.shape[0], d_b=rho.d_b, probability=prob)
 
 
-def random_invertible_filter(d: int, rng: np.random.Generator,
-                             strength: float = 0.3, min_singular: float = 1e-6) -> np.ndarray:
-    """Near-identity random filter I + strength * G with G complex Gaussian.
+def random_invertible_filter(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Near-identity random filter I + 0.3 G with G complex Gaussian.
 
-    Redraws until the smallest singular value exceeds ``min_singular``, so the
-    filter is invertible and the filtered state keeps full information.
+    Redraws until the smallest singular value exceeds 1e-6, so the filter is
+    invertible and the filtered state keeps full information.
     """
     while True:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = np.eye(d) + strength * g
-        if np.linalg.svd(m, compute_uv=False)[-1] > min_singular:
+        m = np.eye(d) + 0.3 * g
+        if np.linalg.svd(m, compute_uv=False)[-1] > 1e-6:
             return m
 
 
@@ -221,11 +220,7 @@ def filter_probe(rho: BipartiteState, trials: int = 20, seed: int = 0) -> bool:
     for _ in range(trials):
         filt = random_invertible_filter(rho.d_a, rng)
         filtered = apply_filter_A(rho, filt).normalized()
-        spec_ab = spectrum(filtered.matrix)
-        spec_b = spectrum(filtered.rho_b)
-        if len(spec_ab) != len(spec_b):
-            return False
-        if len(spec_ab) and np.max(np.abs(spec_ab.values - spec_b.values)) > PROBE_BREAK_TOL:
+        if not spectra_match(spectrum(filtered.matrix), spectrum(filtered.rho_b), PROBE_BREAK_TOL):
             return False
     return True
 
@@ -233,13 +228,15 @@ def filter_probe(rho: BipartiteState, trials: int = 20, seed: int = 0) -> bool:
 def is_symmetric_extension(sigma: TripartiteExtension, rho: BipartiteState, tol: float = 1e-8) -> bool:
     """Re-verify that ``sigma`` is a symmetric extension of ``rho``.
 
-    Recomputes state validity, the swap-symmetry residual and the reduction
-    residual from scratch; nothing stored on ``sigma`` is trusted.
+    Recomputes state validity (:func:`linalg.validate_state`), the
+    swap-symmetry residual and the reduction residual from scratch; nothing
+    stored on ``sigma`` is trusted.
     """
     if sigma.d_a != rho.d_a or sigma.d_b != rho.d_b:
         raise DimensionMismatch("extension and state dimensions do not match")
-    mat = np.asarray(sigma.matrix)
-    if not linalg.is_density_matrix(mat):
+    try:
+        mat = linalg.validate_state(sigma.matrix)
+    except NotAState:
         return False
     perm = linalg.swap_permutation(sigma.d_a, sigma.d_b)
     sym_residual = linalg.frobenius(mat - mat[np.ix_(perm, perm)])
@@ -247,17 +244,18 @@ def is_symmetric_extension(sigma: TripartiteExtension, rho: BipartiteState, tol:
     return sym_residual <= tol and red_residual <= tol
 
 
-def spectral_symmetric_decomposition(sigma: TripartiteExtension, tol: float = 1e-8):
+def spectral_symmetric_decomposition(sigma: TripartiteExtension):
     """Eigendecomposition of a swap-symmetric state into definite-parity terms.
 
+    Raises NotSymmetric when the symmetry residual of ``sigma`` exceeds 1e-8.
     Returns a list of (weight, vector, parity) with parity +1 or -1 such that
     P|v> = parity * |v> within 1e-8.  A swap-symmetric sigma is the sum of its
     two parity parts Pi+ sigma Pi+ and Pi- sigma Pi-, so each part is
     eigendecomposed on its own; weights at or below the zero cut of sigma
     (:func:`linalg.above_cut`) are dropped.
     """
-    if sigma.symmetry_residual > tol:
-        raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds {tol}")
+    if sigma.symmetry_residual > 1e-8:
+        raise NotSymmetric(f"symmetry residual {sigma.symmetry_residual:.3e} exceeds 1e-08")
     mat, perm = np.asarray(sigma.matrix), linalg.swap_permutation(sigma.d_a, sigma.d_b)
     # eigh, not hermitian_eig: a near-zero parity part fails its relative
     # Hermiticity check.  The cut is relative to lambda_max of all of sigma.

@@ -110,16 +110,26 @@ def check_conjecture(rho: BipartiteState) -> bool:
 # rank-2 states
 # ---------------------------------------------------------------------------
 
-def _rank_le2_violation(mat: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9) -> float | None:
+def lambda_max_margin(mat: np.ndarray, rho_b: np.ndarray) -> tuple[float, bool]:
+    """lambda_max(rho_B) - lambda_max(rho_AB) of a state matrix on A (x) B and
+    its B marginal, and whether lambda_max(rho_AB) exceeds lambda_max(rho_B)
+    by more than 1e-9."""
+    lmax_ab, lmax_b = float(linalg.nonzero_eigenvalues(mat)[0]), float(linalg.nonzero_eigenvalues(rho_b)[0])
+    return lmax_b - lmax_ab, lmax_ab > lmax_b + 1e-9
+
+
+def _rank_le2_violation(mat: np.ndarray, d_a: int, d_b: int) -> float | None:
     """Necessary conditions for a rank<=2 state to have a symmetric extension:
-    rank(rho_B) <= 2 and lambda_max(rho_AB) <= lambda_max(rho_B).  None when
-    both hold, else a negative margin: -lambda_3(rho_B) when the rank fails,
-    lambda_max(rho_B) - lambda_max(rho_AB) otherwise."""
-    lam_b = linalg.nonzero_eigenvalues(linalg.partial_trace(mat, [d_a, d_b], keep=[1]))
+    rank(rho_B) <= 2 and lambda_max(rho_AB) <= lambda_max(rho_B) (within 1e-9,
+    see :func:`lambda_max_margin`).  None when both hold, else a negative
+    margin: -lambda_3(rho_B) when the rank fails, lambda_max(rho_B) -
+    lambda_max(rho_AB) otherwise."""
+    rho_b = linalg.partial_trace(mat, [d_a, d_b], keep=[1])
+    lam_b = linalg.nonzero_eigenvalues(rho_b)
     if lam_b.size > 2:
         return -float(lam_b[2])
-    lmax_ab, lmax_b = float(linalg.nonzero_eigenvalues(mat)[0]), float(lam_b[0])
-    return lmax_b - lmax_ab if lmax_ab > lmax_b + tol else None
+    margin, violated = lambda_max_margin(mat, rho_b)
+    return margin if violated else None
 
 
 def _rank2_probes(rho: BipartiteState):
@@ -381,14 +391,11 @@ class ZCorrParams:
         return BipartiteState(self.matrix(), 2, 2)
 
 
-def _zcorr_f(s, t, p1, p4):
-    return np.sqrt(np.clip(s, 0.0, None)) * np.sqrt(np.clip(p1 - t, 0.0, None)) \
-        + np.sqrt(np.clip(t, 0.0, None)) * np.sqrt(np.clip(p4 - s, 0.0, None))
-
-
-def _zcorr_h(s, t, p2, p3):
-    return np.sqrt(np.clip(s, 0.0, None)) * np.sqrt(np.clip(p2 - t, 0.0, None)) \
-        + np.sqrt(np.clip(t, 0.0, None)) * np.sqrt(np.clip(p3 - s, 0.0, None))
+def _zcorr_f(s, t, p, q):
+    """sqrt(s) sqrt(p - t) + sqrt(t) sqrt(q - s): the largest coupling x
+    (p, q = p1, p4) or y (p, q = p2, p3) a given (s, t) supports."""
+    return np.sqrt(np.clip(s, 0.0, None)) * np.sqrt(np.clip(p - t, 0.0, None)) \
+        + np.sqrt(np.clip(t, 0.0, None)) * np.sqrt(np.clip(q - s, 0.0, None))
 
 
 def _zcorr_y0(p1: float, p2: float, p3: float, p4: float) -> tuple[float, float, float]:
@@ -480,7 +487,7 @@ def zcorr_build_extension(z: ZCorrParams, s: float, t: float) -> TripartiteExten
     s = min(max(s, 0.0), min(z.p3, z.p4))
     t = min(max(t, 0.0), z.p2)
     x_sat = float(_zcorr_f(s, t, z.p1, z.p4))
-    y_sat = float(_zcorr_h(s, t, z.p2, z.p3))
+    y_sat = float(_zcorr_f(s, t, z.p2, z.p3))
     if z.x > x_sat + 1e-9 or z.y > y_sat + 1e-9:
         raise OutOfRange("couplings exceed what this (s, t) supports")
 

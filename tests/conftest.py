@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symext import linalg
+from symext import linalg, states
 from symext.states import BipartiteState
 
 
@@ -97,3 +97,24 @@ def johnson_viola_states(rng: np.random.Generator):
                 rho = make(d, threshold + delta)
                 yield (f"{family}:{d}:{delta:+.2f}", BipartiteState(u @ rho.matrix @ u.conj().T, d, d),
                        delta < 0.0)
+
+
+def local_map_states(rng: np.random.Generator, symmetry: str):
+    """Yield (label, ((name, state), ...)) for 20 draws per shape 2x2, 3x2 and 2x3.
+
+    Each draw is a random state of random rank, or every fourth one a traced
+    (anti)symmetric state (:func:`traced_symmetric_state`, antisymmetric for
+    ``symmetry="fermionic"``), together with its copy rotated by a random
+    U_A (x) U_B and its copy filtered by a random invertible filter on A.
+    Both maps keep extendibility in every symmetry mode.
+    """
+    for d_a, d_b in ((2, 2), (3, 2), (2, 3)):
+        for i in range(20):
+            if i % 4 == 0:
+                rho = traced_symmetric_state(rng, d_a, d_b, -1.0 if symmetry == "fermionic" else 1.0)
+            else:
+                rho = random_state(d_a, d_b, rng, rank=int(rng.integers(1, d_a * d_b + 1)))
+            u = linalg.tensor(random_unitary(d_a, rng), random_unitary(d_b, rng))
+            rotated = BipartiteState(u @ rho.matrix @ u.conj().T, d_a, d_b)
+            filtered = states.apply_filter_A(rho, states.random_invertible_filter(d_a, rng)).normalized()
+            yield f"{d_a}x{d_b}:{i}", (("rho", rho), ("rotated", rotated), ("filtered", filtered))

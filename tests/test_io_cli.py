@@ -221,6 +221,14 @@ class TestExtendCommand:
         assert not payload["method"].startswith("closed-form")
         assert not ext_path.exists()
 
+    def test_extend_json_names_the_witness(self, mixed_file, tmp_path, capsys):
+        ext_path = str(tmp_path / "ext.json")
+        assert main(["extend", mixed_file, "-o", ext_path, "--json"]) == EXIT_YES
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["answer"] == "yes" and payload["witness_path"] == ext_path
+        assert set(payload["residuals"]) == {"symmetry", "reduction"}
+        assert main(["verify-extension", ext_path, mixed_file]) == EXIT_YES
+
     def test_extend_refuses_bell(self, bell_file, tmp_path):
         ext_path = str(tmp_path / "ext.json")
         assert main(["extend", bell_file, "-o", ext_path]) == EXIT_NO
@@ -240,6 +248,18 @@ class TestChannelCommand:
         io.save_channel(path, amplitude_damping(0.3))
         assert main(["channel", "classify", path]) == EXIT_YES
         assert "anti-degradable" in capsys.readouterr().out
+
+    def test_classify_json(self, tmp_path, capsys):
+        path = tmp_path / "damp.json"
+        path.write_text(DAMPING)
+        assert main(["channel", "classify", str(path), "--json"]) == EXIT_YES
+        assert json.loads(capsys.readouterr().out) == {
+            "classification": "anti-degradable",
+            "degradable": "infeasible",
+            "anti_degradable": "feasible",
+            "methods": {"degradable": "closed-form(coherent-information)",
+                        "anti_degradable": "closed-form(rank2-decomposition)"},
+        }
 
     def test_classify_depolarizing(self, tmp_path, capsys):
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),

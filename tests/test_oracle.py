@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     isotropic_state,
     johnson_viola_states,
+    local_map_states,
     random_rank2_state,
     random_state,
     random_unitary,
@@ -303,6 +304,20 @@ def test_decide_witness_rule(rng, symmetry):
         assert backed.proven or not backed.infeasible
 
 
+@pytest.mark.parametrize("symmetry", ["any", "bosonic"])
+def test_pure_product_state_gets_the_pure_extension(symmetry):
+    # |0>|+> meets the spectrum condition; with want_witness the pure step
+    # builds its two-qubit pure extension, made bosonic in mode "bosonic"
+    rho = states.pure_state(np.kron([1.0, 0.0], [1.0, 1.0]), 2, 2)
+    result = decide(rho, OracleOptions(symmetry=symmetry), want_witness=True)
+    assert result.method == "closed-form(pure-extension)"
+    assert result.feasible and result.proven
+    assert is_symmetric_extension(result.witness, rho, tol=oracle.WITNESS_TOL)
+    if symmetry == "bosonic":
+        perm = linalg.swap_permutation(2, 2)
+        assert not np.any(linalg.parity_projection(result.witness.matrix, perm, -1))
+
+
 def test_two_qubit_step_matches_oracle(rng):
     for i in range(40):
         rho = random_state(2, 2, rng, rank=3 + i % 2)
@@ -334,20 +349,10 @@ def test_verdict_invariant_under_local_maps(symmetry):
     # states, 20 per shape.  In mode "any" the filtered copy of 3x2 draw 7
     # (full rank) needs the Anderson steps: plain Douglas-Rachford stalls on
     # it after 1582 iterations.
-    rng = np.random.default_rng(2008)
     opts = OracleOptions(symmetry=symmetry)
-    for d_a, d_b in ((2, 2), (3, 2), (2, 3)):
-        for i in range(20):
-            if i % 4 == 0:
-                rho = traced_symmetric_state(rng, d_a, d_b, -1.0 if symmetry == "fermionic" else 1.0)
-            else:
-                rho = random_state(d_a, d_b, rng, rank=int(rng.integers(1, d_a * d_b + 1)))
-            u = linalg.tensor(random_unitary(d_a, rng), random_unitary(d_b, rng))
-            rotated = BipartiteState(u @ rho.matrix @ u.conj().T, d_a, d_b)
-            filtered = states.apply_filter_A(rho, states.random_invertible_filter(d_a, rng)).normalized()
-            verdicts = {solve(x, opts).status for solve in (find_symmetric_extension, decide)
-                        for x in (rho, rotated, filtered)}
-            assert len(verdicts) == 1 and Feasibility.UNDECIDED not in verdicts, (d_a, d_b, i, verdicts)
+    for label, draws in local_map_states(np.random.default_rng(2008), symmetry):
+        verdicts = {solve(x, opts).status for solve in (find_symmetric_extension, decide) for _, x in draws}
+        assert len(verdicts) == 1 and Feasibility.UNDECIDED not in verdicts, (label, verdicts)
 
 
 def test_face_bases_span_the_face():

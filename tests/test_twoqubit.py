@@ -324,7 +324,7 @@ class TestZCorrelated:
         p1, p2, p3, p4 = 0.7, 0.05, 0.05, 0.2
         s = t = 0.05
         x = float(twoqubit._zcorr_f(s, t, p1, p4))
-        y = float(twoqubit._zcorr_h(s, t, p2, p3))
+        y = float(twoqubit._zcorr_f(s, t, p2, p3))
         z = ZCorrParams(p1, p2, p3, p4, x=x, y=y)
         ext = twoqubit.zcorr_build_extension(z, s, t)
         assert states.is_symmetric_extension(ext, z.state(), tol=1e-8)

@@ -13,9 +13,10 @@ and ``proven``.  The set:
 - ``c7``: the 2000 draws of acceptance criterion 7;
 - ``random``: random 3x2, 2x3, 4x2, 3x3, 2x4 and 4x3 states of ranks 1, 2, 3,
   n/2, n-1 and n (three each) and traced states, in every mode;
-- ``local``: the states of ``tests/test_oracle.py::test_verdict_invariant_under_local_maps``,
-  each with its U_A (x) U_B rotation and its A-filtered copy, under
-  ``find_symmetric_extension`` and ``decide``;
+- ``local``: the states of ``tests/test_oracle.py::test_verdict_invariant_under_local_maps``
+  (``local_map_states`` of ``tests/conftest.py``), each with its U_A (x) U_B
+  rotation and its A-filtered copy, under ``find_symmetric_extension`` and
+  ``decide``;
 - ``jv``: the isotropic and Werner states of ``tests/test_oracle.py::test_johnson_viola_thresholds``
   (d = 2 to 6, 0.02 on either side of the Johnson-Viola thresholds), in every mode.
 
@@ -42,11 +43,10 @@ def _calls():
     """Yield (label, thunk) for every call of the set, in a fixed order."""
     import inputs
     import numpy as np
-    from conftest import johnson_viola_states, random_state, random_unitary, traced_symmetric_state
+    from conftest import johnson_viola_states, local_map_states, random_state, traced_symmetric_state
 
-    from symext import channels, linalg, states
+    from symext import channels
     from symext.oracle import SYMMETRIES, OracleOptions, decide, find_symmetric_extension
-    from symext.states import BipartiteState
 
     def solve(rho, mode, fn=find_symmetric_extension):
         return lambda: fn(rho, OracleOptions(symmetry=mode))
@@ -82,19 +82,10 @@ def _calls():
 
     # the draws of test_verdict_invariant_under_local_maps, in its order
     for mode in SYMMETRIES:
-        rng = np.random.default_rng(2008)
-        for d_a, d_b in ((2, 2), (3, 2), (2, 3)):
-            for i in range(20):
-                if i % 4 == 0:
-                    rho = traced_symmetric_state(rng, d_a, d_b, -1.0 if mode == "fermionic" else 1.0)
-                else:
-                    rho = random_state(d_a, d_b, rng, rank=int(rng.integers(1, d_a * d_b + 1)))
-                u = linalg.tensor(random_unitary(d_a, rng), random_unitary(d_b, rng))
-                rotated = BipartiteState(u @ rho.matrix @ u.conj().T, d_a, d_b)
-                filtered = states.apply_filter_A(rho, states.random_invertible_filter(d_a, rng)).normalized()
-                for fn in (find_symmetric_extension, decide):
-                    for name, x in (("rho", rho), ("rotated", rotated), ("filtered", filtered)):
-                        yield f"local:{mode}:{d_a}x{d_b}:{i}:{name}:{fn.__name__}", solve(x, mode, fn)
+        for label, draws in local_map_states(np.random.default_rng(2008), mode):
+            for fn in (find_symmetric_extension, decide):
+                for name, x in draws:
+                    yield f"local:{mode}:{label}:{name}:{fn.__name__}", solve(x, mode, fn)
 
     # the draws of test_johnson_viola_thresholds, in its order
     for label, rho, _ in johnson_viola_states(np.random.default_rng(2013)):
