@@ -142,9 +142,10 @@ class ChannelClass:
 def classify_channel(channel: Channel, opts: OracleOptions | None = None) -> ChannelClass:
     """Joint degradable / anti-degradable verdict.
 
-    Undecided evidence keeps the tag Undecided unless the channel belongs to
-    the class where "neither" is impossible (qubit channels with at most a
-    qubit environment), in which case one conclusive Infeasible pins the tag.
+    The tag is read off the two :func:`oracle.decide` statuses alone: it is
+    Undecided whenever either side is.  No class of channels is assumed to
+    be degradable or anti-degradable (in fermionic mode a qubit channel with
+    a qubit environment classifies as "neither").
     """
     deg = is_degradable(channel, opts)
     anti = is_anti_degradable(channel, opts)
@@ -155,14 +156,6 @@ def classify_channel(channel: Channel, opts: OracleOptions | None = None) -> Cha
         (Feasibility.INFEASIBLE, Feasibility.INFEASIBLE): ChannelTag.NEITHER,
     }
     tag = table.get((deg.status, anti.status), ChannelTag.UNDECIDED)
-    if tag is ChannelTag.UNDECIDED:
-        never_neither = (channel.d_in == 2 and channel.d_out == 2
-                         and channel.environment_dim() <= 2)
-        if never_neither:
-            if deg.status is Feasibility.INFEASIBLE and anti.status is Feasibility.UNDECIDED:
-                tag = ChannelTag.ANTI_DEGRADABLE
-            elif anti.status is Feasibility.INFEASIBLE and deg.status is Feasibility.UNDECIDED:
-                tag = ChannelTag.DEGRADABLE
     return ChannelClass(tag=tag, degradable=deg, anti_degradable=anti)
 
 

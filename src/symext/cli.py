@@ -173,13 +173,13 @@ def cmd_channel(args) -> int:
 
 def cmd_gallery(args) -> int:
     entry = args.build(args)
+    verdict = _verdict(decide(entry.state))
     print(f"name: {entry.name}")
     print(f"description: {entry.description}")
-    print(f"extendible: {entry.extendible}")
+    print(f"extendible: {verdict.answer}")
     for key, value in entry.findings:
         print(f"{key}: {value}")
-    return EXIT_YES if entry.extendible == "yes" else (
-        EXIT_NO if entry.extendible == "no" else EXIT_UNDECIDED)
+    return verdict.exit_code()
 
 
 def cmd_gallery_werner(args) -> int:

@@ -1,7 +1,10 @@
 """Named example states and families used by the CLI and the test suite.
 
 Each entry builds its state from scratch and recomputes every advertised
-property; nothing is hard-coded beyond the construction itself.
+property; nothing is hard-coded beyond the construction itself.  An entry
+carries no verdict: ``symext gallery`` decides ``entry.state`` with
+:func:`oracle.decide`, as ``symext check`` does, so example3's verdict
+depends on its ``s`` alone and not on the filter ``p`` of its findings.
 """
 
 from __future__ import annotations
@@ -84,12 +87,15 @@ def werner_threshold(tol: float = 1e-12) -> float:
 
 @dataclass
 class GalleryEntry:
-    """Construction notes plus live-recomputed findings for one example."""
+    """Construction notes plus live-recomputed findings for one example.
+
+    ``state`` is the state the CLI decides with :func:`oracle.decide` (the
+    Werner member at p = 0.5 for ``werner``); no verdict is stored here.
+    """
 
     name: str
     description: str
-    state: BipartiteState | None
-    extendible: str  # yes | no | undecided
+    state: BipartiteState
     findings: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -103,12 +109,13 @@ def entry_two_qubit_with_ancilla() -> GalleryEntry:
     lmax_b = states.spectrum(traced_state.rho_b).lambda_max
     findings.append(("after tracing first A qubit: lambda_max global/local",
                      f"{lmax_ab:.6f} / {lmax_b:.6f}"))
-    findings.append(("max-eigenvalue bound for rank<=2 states violated", str(lmax_ab > lmax_b + 1e-9)))
-    findings.append(("random-filter probe (pure extendibility)", str(states.filter_probe(rho, 20, 3))))
+    findings.append(("max-eigenvalue bound for rank<=2 states violated",
+                     str(twoqubit.lambda_max_margin(traced, traced_state.rho_b)[1])))
+    findings.append(("random-filter probe (pure extendibility)", str(states.filter_probe(rho, seed=3))))
     return GalleryEntry(
         name="example1",
         description="4x2: maximally mixed ancilla next to a maximally entangled pair",
-        state=rho, extendible="no", findings=findings)
+        state=rho, findings=findings)
 
 
 def entry_qutrit_qubit() -> GalleryEntry:
@@ -123,7 +130,7 @@ def entry_qutrit_qubit() -> GalleryEntry:
     return GalleryEntry(
         name="example2",
         description="3x2: spectra match, yet a local filter reveals a pure entangled state",
-        state=rho, extendible="no", findings=findings)
+        state=rho, findings=findings)
 
 
 def entry_qubit_qutrit(s: float = 0.75, p: float = 0.5) -> GalleryEntry:
@@ -139,11 +146,10 @@ def entry_qubit_qutrit(s: float = 0.75, p: float = 0.5) -> GalleryEntry:
     loc = ", ".join(f"{v:.12f}" for v in states.spectrum(filt.rho_b).values)
     findings.append(("filtered global spectrum", glob))
     findings.append(("filtered local spectrum", loc))
-    verdict = "no" if (0.5 < s < 1.0 and 0.0 < p < 1.0) else "undecided"
     return GalleryEntry(
         name="example3",
         description=f"2x3 family at s={s}: filtering breaks the spectrum condition",
-        state=rho, extendible=verdict, findings=findings)
+        state=rho, findings=findings)
 
 
 def entry_fermionic_qutrit() -> GalleryEntry:
@@ -158,7 +164,7 @@ def entry_fermionic_qutrit() -> GalleryEntry:
     return GalleryEntry(
         name="qutrit-fermionic",
         description="two qutrits with a fermionic but no bosonic extension",
-        state=rho, extendible="yes", findings=findings)
+        state=rho, findings=findings)
 
 
 def entry_werner(steps: int = 21) -> GalleryEntry:
@@ -169,12 +175,11 @@ def entry_werner(steps: int = 21) -> GalleryEntry:
         conj_verdict = twoqubit.check_conjecture(werner(float(p)))
         findings.append((f"p={p:.3f}", f"closed-form={bell_verdict} conjecture={conj_verdict}"))
     mid = werner(0.5)
-    oracle_mid = find_symmetric_extension(mid)
-    findings.append(("oracle at p=0.5", oracle_mid.status.value))
+    findings.append(("oracle at p=0.5", find_symmetric_extension(mid).status.value))
     return GalleryEntry(
         name="werner",
         description="Werner family: extendible up to p = 2/3",
-        state=None, extendible="yes", findings=findings)
+        state=mid, findings=findings)
 
 
 ENTRIES = {

@@ -197,15 +197,6 @@ def trace_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:
     return trace_norm(np.asarray(a) - np.asarray(b))
 
 
-def state_defect(rho: ComplexMatrix) -> tuple[float, float, float]:
-    """(hermiticity defect, most negative eigenvalue, |trace - 1|) of ``rho``."""
-    a = as_matrix(rho)
-    herm_defect = hermiticity_defect(a)
-    herm = (a + dagger(a)) / 2.0
-    vals = np.linalg.eigvalsh(herm)
-    return herm_defect, float(min(vals.min(), 0.0)), abs(float(np.trace(a).real) - 1.0)
-
-
 def validate_state(rho: ComplexMatrix, name: str = "matrix",
                    eig_tol: float = EIGENVALUE_TOL) -> np.ndarray:
     """Return ``rho`` as complex128 or raise NotAState with the failing check.
@@ -214,11 +205,13 @@ def validate_state(rho: ComplexMatrix, name: str = "matrix",
     below -``eig_tol`` and a trace within 1e-9 of 1.
     """
     a = as_matrix(rho)
-    herm_defect, min_eig, trace_err = state_defect(a)
+    herm_defect = hermiticity_defect(a)
     if herm_defect > HERMITICITY_TOL:
         raise NotAState(f"{name}: Hermiticity defect {herm_defect:.3e} exceeds {HERMITICITY_TOL}")
+    min_eig = float(min(np.linalg.eigvalsh((a + dagger(a)) / 2.0).min(), 0.0))
     if min_eig < -eig_tol:
         raise NotAState(f"{name}: negative eigenvalue {min_eig:.3e}")
+    trace_err = abs(float(np.trace(a).real) - 1.0)
     if trace_err > 1e-9:
         raise NotAState(f"{name}: trace deviates from 1 by {trace_err:.3e}")
     return a

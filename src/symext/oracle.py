@@ -796,25 +796,23 @@ def bosonic_from_symmetric(sigma: TripartiteExtension) -> TripartiteExtension:
     return TripartiteExtension(out, sigma.d_a, sigma.d_b, sigma.target_matrix)
 
 
-def fermionic_qutrit_example(a: float = 1.0, b: float = 1.0, c: float = 1.0):
+def fermionic_qutrit_example():
     """Two-qutrit state with a fermionic but no bosonic extension.
 
     Built from the totally antisymmetric combinations of |012>, |120>, |201>
-    (weights a, b, c before normalization).  Returns the reduced state, the
+    (equal weights before normalization).  Returns the reduced state, the
     oracle verdict under bosonic symmetry, and the directly constructed
     fermionic witness packaged as a Feasible result under plain symmetry.
     """
-    if a == 0.0 or b == 0.0 or c == 0.0:
-        raise ValueError("all three coefficients must be nonzero")
 
     def ket(i, j, k):
         v = np.zeros(27, dtype=np.complex128)
         v[(i * 3 + j) * 3 + k] = 1.0
         return v
 
-    psi = (a * (ket(0, 1, 2) - ket(0, 2, 1))
-           + b * (ket(1, 2, 0) - ket(1, 0, 2))
-           + c * (ket(2, 0, 1) - ket(2, 1, 0)))
+    psi = ((ket(0, 1, 2) - ket(0, 2, 1))
+           + (ket(1, 2, 0) - ket(1, 0, 2))
+           + (ket(2, 0, 1) - ket(2, 1, 0)))
     psi /= np.linalg.norm(psi)
     reduced = linalg.partial_trace(np.outer(psi, psi.conj()), [3, 3, 3], keep=[0, 1])
     rho = BipartiteState(reduced, 3, 3)

@@ -206,18 +206,18 @@ def random_invertible_filter(d: int, rng: np.random.Generator) -> np.ndarray:
             return m
 
 
-def filter_probe(rho: BipartiteState, trials: int = 20, seed: int = 0) -> bool:
+def filter_probe(rho: BipartiteState, seed: int = 0) -> bool:
     """Random-filter test of pure extendibility.
 
-    Returns False ("not pure-extendible", conclusive) as soon as one random
-    invertible filter on A breaks the spectrum condition by more than the
-    break threshold.  True only means no probed filter broke the condition;
-    it is a one-sided verdict.
+    Returns False ("not pure-extendible", conclusive) as soon as one of 20
+    random invertible filters on A breaks the spectrum condition by more than
+    the break threshold.  True only means no probed filter broke the
+    condition; it is a one-sided verdict.
     """
     if not spectrum_condition(rho):
         return False
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(20):
         filt = random_invertible_filter(rho.d_a, rng)
         filtered = apply_filter_A(rho, filt).normalized()
         if not spectra_match(spectrum(filtered.matrix), spectrum(filtered.rho_b), PROBE_BREAK_TOL):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from conftest import random_state, traced_symmetric_state
 
-from symext import gallery, io, linalg, states, twoqubit
+from symext import channels, gallery, io, linalg, states, twoqubit
 from symext.channels import Channel, choi_state, complementary_channel
-from symext.cli import EXIT_INVALID, EXIT_NO, EXIT_YES, amplitude_damping, main
-from symext.oracle import decide
+from symext.cli import EXIT_INVALID, EXIT_NO, EXIT_UNDECIDED, EXIT_YES, amplitude_damping, main
+from symext.oracle import Feasibility, FeasibilityResult, decide
 
 # I/4 as a file's "matrix" field
 MIXED = json.dumps(io.matrix_to_json(np.eye(4) / 4.0))
@@ -233,6 +233,18 @@ class TestExtendCommand:
         ext_path = str(tmp_path / "ext.json")
         assert main(["extend", bell_file, "-o", ext_path]) == EXIT_NO
 
+    def test_verify_tol_bounds_the_residuals(self, tmp_path, rng, capsys):
+        rho = traced_symmetric_state(rng, 3, 2)
+        state_path = str(tmp_path / "state.json")
+        ext_path = str(tmp_path / "ext.json")
+        io.save_state(state_path, rho)
+        assert main(["extend", state_path, "-o", ext_path, "--json"]) == EXIT_YES
+        assert json.loads(capsys.readouterr().out)["residuals"]["reduction"] > 1e-30
+        assert main(["verify-extension", ext_path, state_path, "--tol", "1e-6"]) == EXIT_YES
+        capsys.readouterr()
+        assert main(["verify-extension", ext_path, state_path, "--tol", "1e-30"]) == EXIT_NO
+        assert "answer: no" in capsys.readouterr().out
+
     def test_verify_rejects_wrong_pair(self, tmp_path, rng, bell_file):
         rho = traced_symmetric_state(rng)
         state_path = str(tmp_path / "state.json")
@@ -285,6 +297,26 @@ class TestChannelCommand:
         io.save_channel(path, channel)
         assert main(["channel", "classify", path, "--symmetry", "fermionic"]) == EXIT_YES
         assert "classification: neither" in capsys.readouterr().out
+
+    def test_undecided_side_keeps_the_tag_undecided(self, tmp_path, capsys, monkeypatch):
+        # the degradable side is a certified no; an undecided anti-degradable
+        # side leaves the tag undecided, whatever the channel's dimensions
+        choi = choi_state(amplitude_damping(0.3)).state.matrix
+        real = channels.is_anti_degradable
+
+        def undecided_for_the_channel(channel, opts=None):
+            if np.allclose(choi_state(channel).state.matrix, choi):
+                return FeasibilityResult(Feasibility.UNDECIDED, None, float("inf"), 0, method="stub")
+            return real(channel, opts)
+
+        monkeypatch.setattr(channels, "is_anti_degradable", undecided_for_the_channel)
+        result = channels.classify_channel(amplitude_damping(0.3))
+        assert result.degradable.status is Feasibility.INFEASIBLE
+        assert result.tag is channels.ChannelTag.UNDECIDED
+        path = tmp_path / "damp.json"
+        path.write_text(DAMPING)
+        assert main(["channel", "classify", str(path)]) == EXIT_UNDECIDED
+        assert "classification: undecided" in capsys.readouterr().out
 
     def test_choi_output(self, tmp_path):
         path = str(tmp_path / "damp.json")
@@ -348,6 +380,14 @@ class TestGalleryCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert gallery.entry_qubit_qutrit(p=2.0).name == "example3"
+
+    @pytest.mark.parametrize("s,p,expected", [(0.3, 0.5, EXIT_NO), (0.5, 0.5, EXIT_YES), (0.75, 2.0, EXIT_NO)])
+    def test_example3_verdict_comes_from_decide(self, s, p, expected, capsys):
+        # the state depends on s alone, and so does the verdict; p only filters a finding
+        status = decide(gallery.qubit_qutrit(s)).status
+        assert status is {EXIT_YES: Feasibility.FEASIBLE, EXIT_NO: Feasibility.INFEASIBLE}[expected]
+        assert main(["gallery", "example3", "--s", str(s), "--p", str(p)]) == expected
+        assert f"extendible: {'yes' if expected == EXIT_YES else 'no'}" in capsys.readouterr().out
 
     def test_werner_csv_threshold_column(self, tmp_path, capsys):
         csv_path = tmp_path / "werner.csv"

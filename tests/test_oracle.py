@@ -196,10 +196,6 @@ class TestFermionicQutritExample:
         _, _, anysym = fermionic_qutrit_example()
         assert anysym.witness.symmetry_residual <= 1e-12
 
-    def test_rejects_zero_coefficients(self):
-        with pytest.raises(ValueError):
-            fermionic_qutrit_example(a=0.0)
-
 
 # States that neither converge nor certify within ten iterations: a full-rank
 # state runs the full-space loop, a rank-3 state the face loop, and each

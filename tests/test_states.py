@@ -97,16 +97,16 @@ class TestFilter:
 
 class TestFilterProbe:
     def test_ancilla_example_not_pure_extendible(self):
-        assert states.filter_probe(gallery.two_qubit_with_ancilla(), trials=20, seed=3) is False
+        assert states.filter_probe(gallery.two_qubit_with_ancilla(), seed=3) is False
 
     def test_product_pure_survives(self, rng):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         rho = pure_state(np.kron(a, b), 2, 2)
-        assert states.filter_probe(rho, trials=20, seed=4) is True
+        assert states.filter_probe(rho, seed=4) is True
 
     def test_qubit_qutrit_family_detected(self):
-        assert states.filter_probe(gallery.qubit_qutrit(0.75), trials=20, seed=5) is False
+        assert states.filter_probe(gallery.qubit_qutrit(0.75), seed=5) is False
 
     def test_diagonal_filter_family_breaks_qubit_qutrit(self):
         # the closed-form diagonal filters of the 2x3 family break the condition
